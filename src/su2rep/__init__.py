@@ -2,15 +2,7 @@
 nonorientable surfaces, with a quaternion numerical oracle for the
 underlying geometry."""
 
-from .exterior import (
-    BigradedClass,
-    ExtMono,
-    Sector,
-    bigraded_mul,
-    ext_mul,
-    fixed_point_poincare,
-    weyl_invariant_series,
-)
+from .exterior import Sector, fixed_point_poincare, weyl_invariant_series
 from .locimage import (
     ImageSpec,
     OrdClass,
@@ -19,7 +11,6 @@ from .locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
-    kunneth_combine,
     ordinary_basis,
 )
 from .ratpoly import (
@@ -29,11 +20,8 @@ from .ratpoly import (
     RatPoly,
     poly_gcd,
     poly_reciprocal,
-    ratfn_simplify_to_poly,
-    series_expand,
 )
 from .surfaces import (
-    ConsistencyError,
     bigraded_poincare,
     equivariant_poincare,
     euler_characteristic,
@@ -47,14 +35,12 @@ from .surfaces import (
     recursion_verify,
     specialize_total_degree,
 )
-from .targets import SurfaceTarget, TargetKind, Variant
+from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigradedClass",
     "ConsistencyError",
-    "ExtMono",
     "ImageSpec",
     "NotPolynomialError",
     "OrdClass",
@@ -65,13 +51,11 @@ __all__ = [
     "SurfaceTarget",
     "TargetKind",
     "Variant",
-    "bigraded_mul",
     "bigraded_poincare",
     "cup_product",
     "cup_table",
     "equivariant_poincare",
     "euler_characteristic",
-    "ext_mul",
     "factorization_check",
     "fixed_point_poincare",
     "gxt_equivariant_series",
@@ -79,7 +63,6 @@ __all__ = [
     "image_basis",
     "image_hilbert_series",
     "kernel_poincare",
-    "kunneth_combine",
     "orbit_poincare",
     "ordinary_basis",
     "pair_poincare",
@@ -87,9 +70,7 @@ __all__ = [
     "poincare_sectors",
     "poly_gcd",
     "poly_reciprocal",
-    "ratfn_simplify_to_poly",
     "recursion_verify",
-    "series_expand",
     "specialize_total_degree",
     "weyl_invariant_series",
 ]

@@ -25,8 +25,7 @@ from pathlib import Path
 from . import checks, locimage, numeric, surfaces
 from .exterior import ENUMERATION_CAP, Sector
 from .ratpoly import NotPolynomialError, RatPoly
-from .surfaces import ConsistencyError
-from .targets import SurfaceTarget, TargetKind
+from .targets import ConsistencyError, SurfaceTarget, TargetKind
 
 SCHEMA_VERSION = 1
 
@@ -278,13 +277,13 @@ def _cache_load(key: str):
         return None
 
 
-def _cache_store(key: str, payload: dict):
+def _cache_store(key: str, text: str):
     directory = _cache_dir()
     try:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            handle.write(_render_json(payload))
+            handle.write(text)
         os.replace(tmp, directory / f"{key}.json")
     except OSError:
         pass  # caching is best effort only
@@ -334,16 +333,22 @@ def main(argv=None) -> int:
         payload = _cache_load(key)
         if payload is not None and payload.get("schema") != SCHEMA_VERSION:
             payload = None
+    text = None
     if payload is None:
         try:
             payload = _HANDLERS[ns.command](ns)
-        except (ConsistencyError, NotPolynomialError, AssertionError) as exc:
+        except (ConsistencyError, NotPolynomialError) as exc:
             print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
             return 1
         if not ns.no_cache:
-            _cache_store(key, payload)
+            text = _render_json(payload)
+            _cache_store(key, text)
 
-    sys.stdout.write(_render_json(payload) if ns.format == "json" else _render_csv(payload))
+    if ns.format == "csv":
+        text = _render_csv(payload)
+    elif text is None:
+        text = _render_json(payload)
+    sys.stdout.write(text)
     if ns.command in {"verify", "numeric-check"} and not payload.get("passed", False):
         return 1
     return 0

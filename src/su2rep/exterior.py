@@ -6,10 +6,11 @@ with each a_i in degree 1.  The component-swapping involution splits every
 computation into a plus and a minus sector, and the equivariant theory of the
 fixed locus appends a polynomial generator c1 of degree 2.
 
-Exterior monomials a_S are encoded as bitmasks (bit i-1 set iff a_i occurs)
-together with a sign.  Products use the Koszul convention: the sign is
-(-1)**(number of inversions in the sorted merge of the two index lists).
-Golden outputs depend on this convention; do not change it.
+An exterior monomial a_S is a bitmask (bit i-1 set iff a_i occurs in S).
+The product a_S * a_T is zero when the masks meet and otherwise
+koszul_sign(S, T) * a_(S|T), where the sign is (-1)**(number of inversions
+in the merge of the two ascending index lists).  Golden outputs depend on
+this convention; do not change it.
 
 The involution is realized by negating the 0th tuple coordinate.  Negating
 any other coordinate is isotopic to it and induces the same action on
@@ -18,12 +19,11 @@ cohomology, so nothing downstream depends on the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .ratpoly import RatFn, RatPoly
-from .targets import TargetKind
+from .targets import ConsistencyError, TargetKind
 
 #: Enumerations over all 2**n exterior monomials refuse to run past this
 #: size unless explicitly overridden.
@@ -68,110 +68,11 @@ def koszul_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class ExtMono:
-    """Signed exterior monomial a_S on n degree-1 generators."""
-
-    n: int
-    mask: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_GENERATORS:
-            raise ValueError(f"generator count must be between 0 and {MAX_GENERATORS}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError("monomial mask uses generators beyond n")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """1-based generator indices, ascending."""
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
-
-
-def ext_mul(m1: ExtMono, m2: ExtMono) -> ExtMono | None:
-    """Product in the exterior algebra; None encodes the zero element."""
-    if m1.n != m2.n:
-        raise ValueError("monomials live on different generator counts")
-    if m1.mask & m2.mask:
-        return None
-    sign = m1.sign * m2.sign * koszul_sign(m1.mask, m2.mask)
-    return ExtMono(m1.n, m1.mask | m2.mask, sign)
-
-
-@dataclass(frozen=True)
-class BigradedClass:
-    """sector  x  exterior monomial  x  c1-power, with a rational coefficient.
-
-    The bidegree is (k, 2l) for k the exterior degree and l the c1-power;
-    the total degree is k + 2l.  The monomial sign is folded into the
-    coefficient so equality is structural.
-    """
-
-    sector: Sector
-    mono: ExtMono
-    c1_power: int
-    coeff: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.c1_power < 0:
-            raise ValueError("c1-power must be non-negative")
-        coeff = Fraction(self.coeff) * self.mono.sign
-        if not coeff:
-            raise ValueError("classes carry nonzero coefficients; use None for zero")
-        object.__setattr__(self, "coeff", coeff)
-        if self.mono.sign != 1:
-            object.__setattr__(self, "mono", replace(self.mono, sign=1))
-
-    @property
-    def exterior_degree(self) -> int:
-        return self.mono.degree
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.mono.degree, 2 * self.c1_power)
-
-    @property
-    def total_degree(self) -> int:
-        return self.mono.degree + 2 * self.c1_power
-
-    def to_json(self) -> dict:
-        return {
-            "sector": self.sector.value,
-            "subset": list(self.mono.indices),
-            "c1_power": self.c1_power,
-            "coeff": str(self.coeff),
-        }
-
-
-def bigraded_mul(c1: BigradedClass, c2: BigradedClass) -> BigradedClass | None:
-    """Product of bigraded classes; None encodes zero."""
-    mono = ext_mul(c1.mono, c2.mono)
-    if mono is None:
-        return None
-    return BigradedClass(
-        sector=c1.sector * c2.sector,
-        mono=mono,
-        c1_power=c1.c1_power + c2.c1_power,
-        coeff=c1.coeff * c2.coeff,
-    )
-
-
-def fixed_point_sector_poincare(n: int) -> RatPoly:
-    """Poincare polynomial (1+t)**n of one sector of the fixed locus."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return (RatPoly.one() + RatPoly.t()) ** n
-
-
 def fixed_point_poincare(n: int) -> RatPoly:
     """Poincare polynomial 2(1+t)**n of the full fixed locus (two n-tori)."""
-    return 2 * fixed_point_sector_poincare(n)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return 2 * (RatPoly.one() + RatPoly.t()) ** n
 
 
 def weyl_invariant_series(
@@ -222,5 +123,6 @@ def weyl_invariant_series(
                 counts[k + 2 * l] += 1
             else:
                 counts[k + 2 * l] += 2
-    assert [Fraction(c) for c in counts] == series.series(n_max)
+    if [Fraction(c) for c in counts] != series.series(n_max):
+        raise ConsistencyError(f"Weyl-invariant count disagrees with the series: n={n} {kind.value}")
     return series

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
-from .targets import Variant
+from .targets import ConsistencyError, Variant
 
 
 @dataclass(frozen=True)
@@ -131,19 +131,11 @@ class CombinedImage:
         k_right = (mask >> self.left.n).bit_count()
         return self.left.min_c1_power(k_left) + self.right.min_c1_power(k_right)
 
-    def admits(self, mask: int, l: int) -> bool:
-        return l >= self.min_c1_power_of_mask(mask)
-
     def basis(self, max_total_degree: int, *, allow_large: bool = False) -> list[tuple[int, int]]:
         return _mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask, allow_large)
 
     def hilbert_series(self, *, allow_large: bool = False) -> RatFn:
         return _mask_hilbert_series(self.n, self.min_c1_power_of_mask, allow_large)
-
-
-def kunneth_combine(a: ImageSpec, b: ImageSpec) -> CombinedImage:
-    """Image of a product variety as an explicit bidegree predicate."""
-    return CombinedImage(a, b)
 
 
 @dataclass(frozen=True)
@@ -197,12 +189,12 @@ def factorization_check(
         for sector in (Sector.PLUS, Sector.MINUS):
             direct = ImageSpec(n, variant, sector)
             if variant is Variant.REGULAR:
-                combined = kunneth_combine(
+                combined = CombinedImage(
                     ImageSpec(n - 1, Variant.REGULAR, sector),
                     ImageSpec(1, Variant.REGULAR, sector),
                 )
             else:
-                combined = kunneth_combine(
+                combined = CombinedImage(
                     ImageSpec(n, Variant.REGULAR, sector),
                     ImageSpec(0, Variant.SINGULAR, sector),
                 )
@@ -296,8 +288,10 @@ def cup_product(c1: OrdClass, c2: OrdClass) -> tuple[int, OrdClass] | None:
         return None
     result = OrdClass(c1.n, c1.variant, c1.sector * c2.sector, c1.mask | c2.mask)
     l = c1.c1_power + c2.c1_power
-    assert l >= result.c1_power, "product escaped the localization image"
-    if l > result.c1_power:
+    minimal = result.c1_power
+    if l < minimal:
+        raise ConsistencyError("product escaped the localization image")
+    if l > minimal:
         return None
     return koszul_sign(c1.mask, c2.mask), result
 
@@ -389,5 +383,5 @@ def total_degree_table(n: int, variant: Variant, *, allow_large: bool = False) -
         bi = cls.bidegree
         degree = cls.degree
         if table.setdefault(bi, degree) != degree:
-            raise AssertionError("inconsistent total degree within one bidegree")
+            raise ConsistencyError("inconsistent total degree within one bidegree")
     return table

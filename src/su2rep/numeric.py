@@ -321,9 +321,8 @@ def numeric_check_suite(seed: int = 0, samples: int = 2000) -> list[dict]:
     angles = rng.uniform(0.0, 2.0 * np.pi, (samples, 2))
     diag[..., 0] = np.cos(angles)
     diag[..., 1] = np.sin(angles)
-    residual = max(fixed_point_residual(diag[i]) for i in range(samples))
-    conjugated = conjugate_tuple(diag, quat.random_unit(rng, samples))
-    moved = max(fixed_point_residual(conjugated[i]) for i in range(samples))
+    residual = fixed_point_residual(diag)
+    moved = fixed_point_residual(conjugate_tuple(diag, quat.random_unit(rng, samples)))
     add("fixed_point_residual", samples, residual, residual <= 1e-12 and moved > 1e-6)
 
     return checks

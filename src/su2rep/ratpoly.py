@@ -280,17 +280,6 @@ class RatPoly:
         return out
 
 
-def poly_arith(p: RatPoly, q: RatPoly, op: str) -> RatPoly:
-    """Add, subtract or multiply two polynomials of the same arity."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def poly_reciprocal(p: RatPoly, d: int) -> RatPoly:
     """The reversal t**d * p(1/t); requires d >= deg(p) so the result is a polynomial."""
     p._require_univariate()
@@ -424,14 +413,6 @@ class RatFn:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.numerator.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.numerator * other.denominator, self.denominator * other.numerator)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -483,12 +464,3 @@ class RatFn:
     def to_json(self) -> dict:
         return {"numerator": self.numerator.to_json(), "denominator": self.denominator.to_json()}
 
-
-def ratfn_simplify_to_poly(f: RatFn) -> RatPoly:
-    """Collapse a rational function to the polynomial it equals."""
-    return f.to_polynomial()
-
-
-def series_expand(f: RatFn, n_max: int = 40) -> list[Fraction]:
-    """Exact power-series coefficients of ``f`` through degree ``n_max``."""
-    return f.series(n_max)

@@ -26,11 +26,7 @@ from functools import lru_cache
 
 from .exterior import fixed_point_poincare
 from .ratpoly import RatFn, RatPoly, poly_reciprocal
-from .targets import SurfaceTarget, TargetKind, Variant
-
-
-class ConsistencyError(RuntimeError):
-    """Two independently derived closed forms disagreed; the library is wrong."""
+from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
 def _t(power: int = 1) -> RatPoly:
@@ -248,23 +244,15 @@ def fixed_orbit_space_poincare(target: SurfaceTarget) -> RatPoly:
 
 
 def kernel_poincare(target: SurfaceTarget) -> RatPoly:
-    """Poincare polynomial of the kernel of the connecting map; central only.
+    """Poincare polynomial of the kernel of the connecting map.
 
-    1 for the singular fiber; 1 + t^n for the regular fiber (the unit and
-    the top minus-sector fixed class survive).
+    1 for the singular fiber; 1 + t^n otherwise (the unit and the top
+    minus-sector fixed class survive).
     """
-    if not target.is_central:
-        raise ValueError("the kernel polynomial is stated for central targets only")
-    if target.variant is Variant.SINGULAR:
+    if target.is_central and target.variant is Variant.SINGULAR:
         return RatPoly.one()
-    return RatPoly.one() + _t(target.n)
-
-
-def _connecting_kernel(target: SurfaceTarget) -> RatPoly:
-    if target.is_central:
-        return kernel_poincare(target)
-    # Generic class: the unit and the top minus class again span the kernel;
-    # doubling this term breaks the n = 0 and n = 1 orbit spaces.
+    # For a generic class the unit and the top minus class again span the
+    # kernel; doubling this term breaks the n = 0 and n = 1 orbit spaces.
     return RatPoly.one() + _t(target.n)
 
 
@@ -291,7 +279,7 @@ def orbit_poincare_assembled(target: SurfaceTarget) -> RatFn:
     """Orbit-space series assembled from the long exact sequence of the pair."""
     pair = pair_poincare(target)
     fixed = fixed_orbit_space_poincare(target)
-    kernel = _connecting_kernel(target)
+    kernel = kernel_poincare(target)
     return pair - RatFn(_t(1) * fixed) + RatFn(_one_plus_t() * kernel)
 
 
@@ -332,5 +320,6 @@ def has_two_torsion(target: SurfaceTarget) -> bool:
 def euler_characteristic(target: SurfaceTarget) -> int:
     """Euler characteristic, evaluated exactly at t = -1."""
     value = poincare(target)(-1)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ConsistencyError(f"non-integral Euler characteristic {value} for {target}")
     return int(value)

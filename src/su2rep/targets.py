@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+class ConsistencyError(RuntimeError):
+    """An internal cross-check failed: the library, never the input, is wrong."""
+
+
 class TargetKind(Enum):
     CENTRAL_PLUS = "plus"
     CENTRAL_MINUS = "minus"

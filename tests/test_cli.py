@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from su2rep import ConsistencyError, locimage, surfaces
 from su2rep.cli import _flatten, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +87,36 @@ def test_verify_exits_zero(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(check["passed"] for check in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "module, attr, error, check_name",
+    [
+        (surfaces, "orbit_poincare", ConsistencyError, "orbit-space-poincare"),
+        (locimage, "factorization_check", ValueError, "kunneth-factorization"),
+    ],
+    ids=["orbit", "factorization"],
+)
+def test_verify_names_a_raising_check(capsys, monkeypatch, module, attr, error, check_name):
+    def broken(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(module, attr, broken)
+    code, out = run(capsys, "verify", "--n-max", "2", "--no-cache")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = {c["name"]: c["detail"] for c in payload["checks"] if not c["passed"]}
+    assert list(failed) == [check_name]
+    assert "injected fault" in failed[check_name]
+
+
+def test_verify_output_survives_optimized_mode(tmp_path):
+    argv = ["-m", "su2rep.cli", "verify", "--n-max", "4", "--no-cache"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path)}
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=env, check=True)
+    optimized = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=env, check=True)
+    assert optimized.stdout == plain.stdout
 
 
 def test_numeric_check_exits_zero(capsys):

@@ -1,30 +1,14 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
-from su2rep.exterior import (
-    BigradedClass,
-    ExtMono,
-    Sector,
-    bigraded_mul,
-    ext_mul,
-    fixed_point_poincare,
-    fixed_point_sector_poincare,
-    weyl_invariant_series,
-)
+from su2rep import ConsistencyError
+from su2rep.exterior import Sector, fixed_point_poincare, koszul_sign, weyl_invariant_series
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.targets import TargetKind
 
 t = RatPoly.t
 one = RatPoly.one()
-
-
-def mono(n, *indices, sign=1):
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return ExtMono(n, mask, sign)
 
 
 def test_sector_multiplication_table():
@@ -34,95 +18,33 @@ def test_sector_multiplication_table():
     assert Sector.MINUS * Sector.MINUS is Sector.PLUS
 
 
-def test_ext_mul_sorted_merge_has_no_sign():
-    assert ext_mul(mono(2, 1), mono(2, 2)) == mono(2, 1, 2)
+def _indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def test_ext_mul_transposition_flips_sign():
-    assert ext_mul(mono(2, 2), mono(2, 1)) == mono(2, 1, 2, sign=-1)
+def _merge_sign(mask_a, mask_b):
+    # Insertion sort of a's indices followed by b's; every swap flips the sign.
+    seq = _indices(mask_a) + _indices(mask_b)
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j and seq[j - 1] > seq[j]:
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            sign = -sign
+            j -= 1
+    return sign
 
 
-def test_ext_mul_square_is_zero():
-    assert ext_mul(mono(2, 1), mono(2, 1)) is None
-
-
-def test_ext_mul_rejects_mismatched_generator_counts():
-    with pytest.raises(ValueError):
-        ext_mul(mono(2, 1), mono(3, 2))
-
-
-def _sign(m):
-    return 0 if m is None else m.sign
-
-
-def test_graded_commutativity_exhaustive():
-    for n in range(6):
+def test_koszul_sign_exhaustive():
+    assert koszul_sign(0b01, 0b10) == 1
+    assert koszul_sign(0b10, 0b01) == -1
+    for n in range(7):
         for a, b in itertools.product(range(1 << n), repeat=2):
-            left = ext_mul(ExtMono(n, a), ExtMono(n, b))
-            right = ext_mul(ExtMono(n, b), ExtMono(n, a))
-            expected = (-1) ** (bin(a).count("1") * bin(b).count("1"))
-            assert _sign(left) == expected * _sign(right)
-
-
-def test_associativity_exhaustive():
-    for n in range(5):
-        for a, b, c in itertools.product(range(1 << n), repeat=3):
-            ab = ext_mul(ExtMono(n, a), ExtMono(n, b))
-            bc = ext_mul(ExtMono(n, b), ExtMono(n, c))
-            left = None if ab is None else ext_mul(ab, ExtMono(n, c))
-            right = None if bc is None else ext_mul(ExtMono(n, a), bc)
-            assert left == right
-
-
-def cls(sector, monomial, l, coeff=1):
-    return BigradedClass(sector, monomial, l, Fraction(coeff))
-
-
-def test_bigraded_mul_disjoint_subsets():
-    a = cls(Sector.PLUS, mono(2, 1), 1)
-    b = cls(Sector.PLUS, mono(2, 2), 0)
-    assert bigraded_mul(a, b) == cls(Sector.PLUS, mono(2, 1, 2), 1)
-
-
-def test_bigraded_mul_minus_times_minus_lands_in_plus():
-    a = cls(Sector.MINUS, mono(2, 1), 0)
-    b = cls(Sector.MINUS, mono(2, 2), 0)
-    assert bigraded_mul(a, b) == cls(Sector.PLUS, mono(2, 1, 2), 0)
-
-
-def test_bigraded_mul_repeated_generator_is_zero():
-    a = cls(Sector.MINUS, mono(2, 1), 2)
-    b = cls(Sector.PLUS, mono(2, 1), 0)
-    assert bigraded_mul(a, b) is None
-
-
-def test_bigraded_mul_associative_small():
-    monos = [ExtMono(3, m) for m in range(8)]
-    classes = [
-        BigradedClass(s, m, l)
-        for s in Sector
-        for m in monos
-        for l in (0, 1)
-    ]
-    for a, b, c in itertools.islice(itertools.product(classes, repeat=3), 0, None, 7):
-        ab = bigraded_mul(a, b)
-        bc = bigraded_mul(b, c)
-        left = None if ab is None else bigraded_mul(ab, c)
-        right = None if bc is None else bigraded_mul(a, bc)
-        assert left == right
-
-
-def test_sign_is_folded_into_coefficient():
-    c = BigradedClass(Sector.PLUS, mono(2, 1, sign=-1), 0, Fraction(3))
-    assert c.mono.sign == 1
-    assert c.coeff == -3
-
-
-def test_bidegree_and_total_degree():
-    c = cls(Sector.MINUS, mono(3, 1, 3), 2)
-    assert c.bidegree == (2, 4)
-    assert c.total_degree == 6
-    assert c.to_json() == {"sector": "minus", "subset": [1, 3], "c1_power": 2, "coeff": "1"}
+            if a & b:
+                continue
+            assert koszul_sign(a, b) == _merge_sign(a, b)
+            graded = (-1) ** (a.bit_count() * b.bit_count())
+            assert koszul_sign(a, b) * koszul_sign(b, a) == graded
 
 
 def test_fixed_point_poincare_small_values():
@@ -133,7 +55,9 @@ def test_fixed_point_poincare_small_values():
 
 def test_sector_polynomials_sum_to_fixed_locus():
     for n in range(8):
-        assert 2 * fixed_point_sector_poincare(n) == fixed_point_poincare(n)
+        assert 2 * (one + t()) ** n == fixed_point_poincare(n)
+    with pytest.raises(ValueError):
+        fixed_point_poincare(-1)
 
 
 def test_weyl_series_small_closed_forms():
@@ -163,3 +87,10 @@ def test_enumeration_cap_guards_large_n():
     assert weyl_invariant_series(17, TargetKind.CENTRAL_MINUS, allow_large=True) == RatFn(
         (one + t()) ** 17, one - t(2)
     )
+
+
+def test_weyl_miscount_raises_consistency_error(monkeypatch):
+    # The brute monomial count no longer matches the expanded series.
+    monkeypatch.setattr(RatFn, "series", lambda self, n_max=40: [0] * (n_max + 1))
+    with pytest.raises(ConsistencyError):
+        weyl_invariant_series(2, TargetKind.CENTRAL_MINUS)

@@ -15,7 +15,6 @@ from su2rep.locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
-    kunneth_combine,
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
@@ -117,7 +116,7 @@ def test_combined_predicates_match_direct_ones():
     # regular(n) against regular(n-1) x regular(1), all sectors
     for n in range(1, 6):
         for sector in Sector:
-            combined = kunneth_combine(
+            combined = CombinedImage(
                 ImageSpec(n - 1, Variant.REGULAR, sector), ImageSpec(1, Variant.REGULAR, sector)
             )
             direct = ImageSpec(n, Variant.REGULAR, sector)
@@ -128,7 +127,7 @@ def test_combined_predicates_match_direct_ones():
 
 def test_combined_singular_predicate():
     for n in range(4):
-        combined = kunneth_combine(
+        combined = CombinedImage(
             ImageSpec(n, Variant.REGULAR, Sector.MINUS), ImageSpec(0, Variant.SINGULAR, Sector.MINUS)
         )
         direct = ImageSpec(n, Variant.SINGULAR, Sector.MINUS)
@@ -145,7 +144,7 @@ def test_mixed_sector_combination_is_rejected():
 
 def test_factorization_hand_case_n1():
     spec = ImageSpec(1, Variant.REGULAR, Sector.MINUS)
-    combined = kunneth_combine(
+    combined = CombinedImage(
         ImageSpec(0, Variant.REGULAR, Sector.MINUS), ImageSpec(1, Variant.REGULAR, Sector.MINUS)
     )
     expected = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]

@@ -252,11 +252,7 @@ def test_kernel_polynomial_values():
     assert kernel_poincare(SurfaceTarget.regular(0)) == RatPoly.constant(2)
     assert kernel_poincare(SurfaceTarget.regular(3)) == one + t(3)
     assert kernel_poincare(SurfaceTarget.singular(2)) == one
-
-
-def test_kernel_rejects_generic():
-    with pytest.raises(ValueError):
-        kernel_poincare(SurfaceTarget.generic(1))
+    assert kernel_poincare(SurfaceTarget.generic(1)) == one + t()
 
 
 def test_two_torsion_predicate():
