@@ -4,7 +4,8 @@ Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  Identical requests produce byte-identical output, with or without
 the on-disk cache; the cache is a pure accelerator keyed by the request and
-written atomically (temp file + rename).
+written atomically (temp file + rename).  ``verify`` and ``numeric-check``
+never read or write it, so their verdicts always come from the running code.
 
 Exit codes: 0 success, 1 mathematical inconsistency (a cross-check failed,
 which means a bug, never bad input), 2 usage error.
@@ -13,6 +14,7 @@ which means a bug, never bad input), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -22,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import checks, locimage, numeric, surfaces
+from . import checks, locimage, surfaces
 from .exterior import ENUMERATION_CAP, Sector
 from .ratpoly import NotPolynomialError, RatPoly
 from .targets import ConsistencyError, SurfaceTarget, TargetKind
@@ -31,6 +33,9 @@ SCHEMA_VERSION = 1
 
 _KINDS = {kind.value: kind for kind in TargetKind}
 _CENTRAL_ONLY = {"bigraded", "localization-image", "cup-table"}
+# Verdicts are recomputed on every run: a cached "passed" would outlive the
+# code that earned it.
+_NEVER_CACHED = {"verify", "numeric-check"}
 
 
 def _dense_int(poly: RatPoly) -> list[int]:
@@ -111,6 +116,7 @@ def _cmd_localization_image(ns) -> dict:
     payload = _base_payload("localization-image", ns)
     payload["variety"] = target.variant.value
     payload["degree_bound"] = bound
+    subsets = [[i + 1 for i in range(ns.n) if mask >> i & 1] for mask in range(1 << ns.n)]
     sectors = {}
     for sector in (Sector.PLUS, Sector.MINUS):
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
@@ -119,7 +125,7 @@ def _cmd_localization_image(ns) -> dict:
             "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
             "basis": [
                 {
-                    "subset": [i + 1 for i in range(ns.n) if mask >> i & 1],
+                    "subset": subsets[mask],
                     "c1_power": l,
                     "degree": mask.bit_count() + 2 * l,
                 }
@@ -173,6 +179,8 @@ def _cmd_verify(ns) -> dict:
 
 
 def _cmd_numeric_check(ns) -> dict:
+    from . import numeric  # the only command that needs numpy
+
     rows = numeric.numeric_check_suite(seed=ns.seed)
     return {
         "schema": SCHEMA_VERSION,
@@ -279,6 +287,7 @@ def _cache_load(key: str):
 
 def _cache_store(key: str, text: str):
     directory = _cache_dir()
+    tmp = None
     try:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -286,7 +295,10 @@ def _cache_store(key: str, text: str):
             handle.write(text)
         os.replace(tmp, directory / f"{key}.json")
     except OSError:
-        pass  # caching is best effort only
+        # Caching is best effort only, but leaves no partial file behind.
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -328,8 +340,9 @@ def main(argv=None) -> int:
     _validate(parser, ns)
 
     key = _request_key(ns)
+    use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
     payload = None
-    if not ns.no_cache:
+    if use_cache:
         payload = _cache_load(key)
         if payload is not None and payload.get("schema") != SCHEMA_VERSION:
             payload = None
@@ -340,7 +353,7 @@ def main(argv=None) -> int:
         except (ConsistencyError, NotPolynomialError) as exc:
             print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
             return 1
-        if not ns.no_cache:
+        if use_cache:
             text = _render_json(payload)
             _cache_store(key, text)
 

@@ -19,6 +19,7 @@ cohomology, so nothing downstream depends on the choice.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
@@ -97,18 +98,17 @@ def weyl_invariant_series(
     if n < 0:
         raise ValueError("n must be non-negative")
     check_enumeration_cap(n, allow_large)
-    t = RatPoly.t
-    numerator = RatPoly.zero()
+    numerator: Counter[int] = Counter()
     if kind is TargetKind.CENTRAL_PLUS:
         for mask in range(1 << n):
             k = mask.bit_count()
-            numerator = numerator + 2 * t(k + 2 * (k & 1))
-        series = RatFn(numerator, RatPoly.one() - t(4))
+            numerator[k + 2 * (k & 1)] += 2
+        series = RatFn(RatPoly(numerator), RatPoly.one() - RatPoly.t(4))
     else:
         copies = 1 if kind is TargetKind.CENTRAL_MINUS else 2
         for mask in range(1 << n):
-            numerator = numerator + copies * t(mask.bit_count())
-        series = RatFn(numerator, RatPoly.one() - t(2))
+            numerator[mask.bit_count()] += copies
+        series = RatFn(RatPoly(numerator), RatPoly.one() - RatPoly.t(2))
 
     counts = [0] * (n_max + 1)
     for mask in range(1 << n):

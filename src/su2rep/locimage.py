@@ -20,8 +20,10 @@ predicate test.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
@@ -54,6 +56,13 @@ class ImageSpec:
         return l >= self.min_c1_power(k)
 
 
+@lru_cache(maxsize=None)
+def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
+    # ImageSpec.min_c1_power for k = 0..n, built once per image.
+    spec = ImageSpec(n, variant, sector)
+    return tuple(spec.min_c1_power(k) for k in range(n + 1))
+
+
 def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large):
     check_enumeration_cap(n_total, allow_large)
     if max_total_degree < 0:
@@ -70,10 +79,8 @@ def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large):
 
 def _mask_hilbert_series(n_total, min_c1_of_mask, allow_large) -> RatFn:
     check_enumeration_cap(n_total, allow_large)
-    numerator = RatPoly.zero()
-    for mask in range(1 << n_total):
-        numerator = numerator + RatPoly.t(mask.bit_count() + 2 * min_c1_of_mask(mask))
-    return RatFn(numerator, RatPoly.one() - RatPoly.t(2))
+    degrees = Counter(mask.bit_count() + 2 * min_c1_of_mask(mask) for mask in range(1 << n_total))
+    return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
 
 def image_basis(
@@ -83,12 +90,8 @@ def image_basis(
 
     Ordered by mask (colexicographic on subsets) and then by c1-power.
     """
-    return _mask_basis(
-        spec.n,
-        max_total_degree,
-        lambda mask: spec.min_c1_power(mask.bit_count()),
-        allow_large,
-    )
+    min_c1 = _min_c1_powers(spec.n, spec.variant, spec.sector)
+    return _mask_basis(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()], allow_large)
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
@@ -244,7 +247,7 @@ class OrdClass:
 
     @property
     def c1_power(self) -> int:
-        return ImageSpec(self.n, self.variant, self.sector).min_c1_power(self.k)
+        return _min_c1_powers(self.n, self.variant, self.sector)[self.k]
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -300,17 +303,35 @@ def cup_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict:
     """Full multiplication table over the canonical basis, JSON-ready.
 
     Entries are (i, j, k, coeff) with basis indices into ``basis`` and only
-    nonzero products listed.
+    nonzero products listed, in the order of (i, j).  Only pairs with
+    disjoint masks can multiply to a nonzero class, so for each left factor
+    the right factors are the submasks of its complement, in each sector;
+    the test applied to each is the one in ``cup_product``.
     """
     basis = ordinary_basis(n, variant, allow_large=allow_large)
-    index = {cls: i for i, cls in enumerate(basis)}
+    min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
+    offset = {Sector.PLUS: 0, Sector.MINUS: 1 << n}
+    full = (1 << n) - 1
     table = []
     for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            product = cup_product(a, b)
-            if product is not None:
-                sign, cls = product
-                table.append([i, j, index[cls], sign])
+        complement = full & ~a.mask
+        l_a = min_c1[a.sector][a.k]
+        for sector in Sector:
+            product_sector = a.sector * sector
+            l_b, l_min = min_c1[sector], min_c1[product_sector]
+            j0, k0 = offset[sector], offset[product_sector]
+            b = 0
+            while True:
+                union = a.mask | b
+                l = l_a + l_b[b.bit_count()]
+                minimal = l_min[union.bit_count()]
+                if l < minimal:
+                    raise ConsistencyError("product escaped the localization image")
+                if l == minimal:
+                    table.append([i, j0 + b, k0 + union, koszul_sign(a.mask, b)])
+                if b == complement:
+                    break
+                b = (b - complement) & complement  # next submask, ascending
     return {
         "n": n,
         "target": variant.value,
@@ -365,11 +386,8 @@ def matrix_rank_exact(matrix: list[list[Fraction]]) -> int:
 
 def bigraded_generating_function(n: int, variant: Variant, *, allow_large: bool = False) -> RatPoly:
     """Two-variable generating function sum(x^k y^(2l)) of the canonical basis."""
-    out = RatPoly.zero(arity=2)
-    for cls in ordinary_basis(n, variant, allow_large=allow_large):
-        k, two_l = cls.bidegree
-        out = out + RatPoly({(k, two_l): 1}, arity=2)
-    return out
+    counts = Counter(cls.bidegree for cls in ordinary_basis(n, variant, allow_large=allow_large))
+    return RatPoly(counts, arity=2)
 
 
 def total_degree_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:

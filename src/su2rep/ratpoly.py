@@ -210,8 +210,13 @@ class RatPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         result = RatPoly.one(self.arity)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def __call__(self, value) -> Fraction:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from su2rep import ConsistencyError, locimage, surfaces
-from su2rep.cli import _flatten, main
+from su2rep import ConsistencyError, locimage, numeric, surfaces
+from su2rep.cli import SCHEMA_VERSION, _flatten, _request_key, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,6 +119,19 @@ def test_verify_output_survives_optimized_mode(tmp_path):
     assert optimized.stdout == plain.stdout
 
 
+def test_non_numeric_commands_leave_numpy_unimported(tmp_path):
+    code = (
+        "import sys, su2rep.cli\n"
+        "rc = su2rep.cli.main(['betti', '--n', '1', '--target', 'plus', '--no-cache'])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "False"
+
+
 def test_numeric_check_exits_zero(capsys):
     code, out = run(capsys, "numeric-check", "--seed", "0")
     assert code == 0
@@ -184,3 +197,43 @@ def test_csv_is_deterministic(capsys):
     _, first = run(capsys, "cup-table", "--n", "1", "--target", "plus", "--format", "csv")
     _, second = run(capsys, "cup-table", "--n", "1", "--target", "plus", "--format", "csv")
     assert first == second
+
+
+def _fail_orbit(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("injected fault")
+
+    monkeypatch.setattr(surfaces, "orbit_poincare", broken)
+
+
+def _fail_numeric(monkeypatch):
+    monkeypatch.setattr(numeric, "numeric_check_suite", lambda seed: [{"check_name": "injected", "pass": False}])
+
+
+@pytest.mark.parametrize(
+    "argv, break_check",
+    [(["verify", "--n-max", "2"], _fail_orbit), (["numeric-check", "--seed", "0"], _fail_numeric)],
+    ids=["verify", "numeric-check"],
+)
+def test_cached_verdict_is_never_replayed(capsys, isolated_cache, monkeypatch, argv, break_check):
+    planted = isolated_cache / f"{_request_key(build_parser().parse_args(argv))}.json"
+    isolated_cache.mkdir(parents=True)
+    planted.write_text(json.dumps({"schema": SCHEMA_VERSION, "command": argv[0], "checks": [], "passed": True}))
+    break_check(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert list(isolated_cache.iterdir()) == [planted]  # nothing stored either
+
+
+def test_failed_cache_store_leaves_no_temp_file(capsys, isolated_cache, monkeypatch):
+    argv = ["betti", "--n", "2", "--target", "plus"]
+    _, expected = run(capsys, *argv, "--no-cache")
+
+    def failing_replace(*args, **kwargs):
+        raise OSError("injected fault")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code, out = run(capsys, *argv)
+    assert (code, out) == (0, expected)
+    assert list(isolated_cache.iterdir()) == []

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from su2rep import locimage
 from su2rep.exterior import Sector
 from su2rep.locimage import (
     CombinedImage,
@@ -22,7 +23,7 @@ from su2rep.locimage import (
 )
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.surfaces import bigraded_poincare, poincare, poincare_sectors
-from su2rep.targets import SurfaceTarget, Variant
+from su2rep.targets import ConsistencyError, SurfaceTarget, Variant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -252,6 +253,34 @@ def test_cup_product_graded_commutative_and_associative():
                     assert left is None and right is None
                 else:
                     assert (left_sign, left[1]) == (right_sign, right[1])
+
+
+def _cup_table_reference(n, variant):
+    # Every ordered pair of basis classes through the single-pair API.
+    basis = ordinary_basis(n, variant)
+    index = {cls: i for i, cls in enumerate(basis)}
+    table = []
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            product = cup_product(a, b)
+            if product is not None:
+                sign, cls = product
+                table.append([i, j, index[cls], sign])
+    return table
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cup_table_matches_all_pairs_reference(n, variant):
+    assert cup_table(n, variant)["table"] == _cup_table_reference(n, variant)
+
+
+def test_cup_table_raises_when_a_product_escapes_the_image(monkeypatch):
+    # With a zero minus-sector rule, minus x minus lands below the plus rule.
+    broken = {Sector.PLUS: (0, 1), Sector.MINUS: (0, 0)}
+    monkeypatch.setattr(locimage, "_min_c1_powers", lambda n, variant, sector: broken[sector])
+    with pytest.raises(ConsistencyError):
+        cup_table(1, Variant.REGULAR)
 
 
 def test_minus_pairing_is_perfect_for_small_n():

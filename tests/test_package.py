@@ -14,9 +14,8 @@ def test_every_exported_name_resolves():
         assert getattr(su2rep, name) is not None, name
 
 
-def test_traced_harness_wraps_live_names(tmp_path):
-    # bench/traced.py wraps library functions by name; a deleted name breaks it.
-    argv = ["betti", "--n", "1", "--target", "plus", "--no-cache"]
+def _run_traced(tmp_path, argv):
+    """Runs argv through bench/traced.py and plainly; returns both stdouts and the metrics."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path / "cache")}
     spans = tmp_path / "spans.jsonl"
     traced = subprocess.run(
@@ -29,6 +28,20 @@ def test_traced_harness_wraps_live_names(tmp_path):
     plain = subprocess.run(
         [sys.executable, "-m", "su2rep.cli", *argv], capture_output=True, env=env, cwd=ROOT, check=True
     )
-    assert traced.stdout == plain.stdout
     lines = [json.loads(line) for line in spans.read_text().splitlines()]
     assert "metrics" in lines[-1]
+    return traced.stdout, plain.stdout, lines[-1]["metrics"]
+
+
+def test_traced_harness_wraps_live_names(tmp_path):
+    # bench/traced.py wraps library functions by name; a deleted name breaks it.
+    traced, plain, _ = _run_traced(tmp_path, ["betti", "--n", "1", "--target", "plus", "--no-cache"])
+    assert traced == plain
+
+
+def test_traced_cup_table_counts_signs_without_numpy(tmp_path):
+    # The fast cup table must still call koszul_sign through the module global.
+    traced, plain, metrics = _run_traced(tmp_path, ["cup-table", "--n", "2", "--target", "plus", "--no-cache"])
+    assert traced == plain
+    assert metrics["cli.numpy_imported"] == 0
+    assert metrics["exterior.koszul_sign_calls"] > 0

@@ -100,6 +100,14 @@ def test_reciprocal_rejects_low_degree():
         poly_reciprocal(t(4), 3)
 
 
+@given(st.one_of(polys(), polys(arity=2)), st.integers(min_value=0, max_value=12))
+def test_pow_matches_repeated_multiplication(p, exponent):
+    expected = RatPoly.one(p.arity)
+    for _ in range(exponent):
+        expected = expected * p
+    assert p**exponent == expected
+
+
 @given(polys(), st.integers(min_value=0, max_value=12))
 def test_reciprocal_is_involutive(p, extra):
     d = int(max(p.degree(), 0)) + extra
