@@ -15,7 +15,6 @@ from .locimage import (
 )
 from .ratpoly import (
     NotPolynomialError,
-    PoleAtZeroError,
     RatFn,
     RatPoly,
     poly_gcd,
@@ -44,7 +43,6 @@ __all__ = [
     "ImageSpec",
     "NotPolynomialError",
     "OrdClass",
-    "PoleAtZeroError",
     "RatFn",
     "RatPoly",
     "Sector",

@@ -277,12 +277,16 @@ def _request_key(ns) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(key: str):
+def _cache_load(key: str, base: dict):
+    """The cached payload, or None unless it is a dict holding every field of base."""
     path = _cache_dir() / f"{key}.json"
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    if isinstance(payload, dict) and base.items() <= payload.items():
+        return payload
+    return None
 
 
 def _cache_store(key: str, text: str):
@@ -343,9 +347,7 @@ def main(argv=None) -> int:
     use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
     payload = None
     if use_cache:
-        payload = _cache_load(key)
-        if payload is not None and payload.get("schema") != SCHEMA_VERSION:
-            payload = None
+        payload = _cache_load(key, _base_payload(ns.command, ns))
     text = None
     if payload is None:
         try:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 
 from .ratpoly import RatFn, RatPoly
 from .targets import ConsistencyError, TargetKind
@@ -123,6 +122,6 @@ def weyl_invariant_series(
                 counts[k + 2 * l] += 1
             else:
                 counts[k + 2 * l] += 2
-    if [Fraction(c) for c in counts] != series.series(n_max):
+    if counts != series.series(n_max):
         raise ConsistencyError(f"Weyl-invariant count disagrees with the series: n={n} {kind.value}")
     return series

@@ -206,10 +206,10 @@ def factorization_check(
             basis_match = direct_basis == combined_basis
             direct_series = image_hilbert_series(direct)
             series_match = direct_series == combined.hilbert_series(allow_large=allow_large)
-            tensor_series = (
-                image_hilbert_series(combined.left)
-                * image_hilbert_series(combined.right)
-                * (RatPoly.one() - RatPoly.t(2))
+            # (1 - t^2) goes into the right factor first so that every partial
+            # product keeps a denominator dividing 1 - t^4.
+            tensor_series = image_hilbert_series(combined.left) * (
+                (RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(combined.right)
             )
             tensor_series_match = direct_series == tensor_series
             detail = ""

@@ -6,11 +6,17 @@ non-negative integer exponents in the variable ``t``; bivariate polynomials
 (arity 2) use ``(i, j)`` exponent pairs in the variables ``(x, y)``, listed
 in lexicographic (x-degree, y-degree) order whenever they are serialized.
 
-Rational functions are kept in a canonical form: numerator and denominator
-are coprime (the polynomial gcd over Q is divided out) and the denominator
-is an integer-primitive polynomial with positive leading coefficient.
-Equality of canonical forms is plain structural equality, and it agrees
-with equality by cross multiplication.
+Every series the package needs is a polynomial over H*(BSU(2)) = Q[c]
+(c in degree 4), or over Q[c1] (c1 in degree 2) for the torus, fixed-locus
+and localization-image versions, so every denominator divides 1 - t^4.  A
+``RatFn`` holds one polynomial, the numerator N of N / (1 - t^4).  The
+constructor rescales a given numerator and denominator to that form and
+rejects a denominator that does not divide 1 - t^4.  Equality, hashing,
+sums, differences, products and Taylor coefficients work on N alone; no
+polynomial gcd is taken on those paths.  The coprime canonical form
+(numerator and denominator coprime, denominator integer-primitive with a
+positive leading coefficient) is computed only when a function is printed
+or serialized, by ``to_json`` and ``str``.
 
 All values are immutable after construction and every operation is a pure
 function, so the types here are safe for unrestricted concurrent use.
@@ -26,17 +32,14 @@ class NotPolynomialError(ValueError):
     """A rational function failed to simplify to a polynomial.
 
     Carries the witness of the failed division: ``quotient`` and a nonzero
-    ``remainder`` with numerator = quotient * denominator + remainder.
+    ``remainder`` with N = quotient * (1 - t^4) + remainder, where N is the
+    numerator over 1 - t^4.
     """
 
     def __init__(self, quotient: "RatPoly", remainder: "RatPoly"):
         self.quotient = quotient
         self.remainder = remainder
         super().__init__(f"not a polynomial; division leaves remainder {remainder}")
-
-
-class PoleAtZeroError(ValueError):
-    """Power-series expansion requested for a function with a pole at 0."""
 
 
 def _coerce_coeff(value) -> Fraction:
@@ -331,40 +334,30 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a * (1 / a.leading_coefficient())
 
 
-def _primitive_scale(p: RatPoly) -> Fraction:
-    # Scalar s with p/s integer-primitive and positive leading coefficient.
-    nums = math.gcd(*(abs(c.numerator) for c in p._coeffs.values()))
-    dens = math.lcm(*(c.denominator for c in p._coeffs.values()))
-    scale = Fraction(nums, dens)
-    if p.leading_coefficient() < 0:
-        scale = -scale
-    return scale
+# Every denominator in the package divides this one (see the module docstring).
+_ONE_MINUS_T4 = RatPoly({0: 1, 4: -1})
 
 
 class RatFn:
-    """Univariate rational function over Q in canonical reduced form."""
+    """Univariate rational function over Q, held as a numerator over 1 - t^4."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("_num",)
 
     def __init__(self, numerator, denominator=1):
         num = self._as_poly(numerator)
         den = self._as_poly(denominator)
         num._require_univariate()
-        den._require_univariate()
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = RatPoly.zero(), RatPoly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-            scale = _primitive_scale(den)
-            num = num * (1 / scale)
-            den = den * (1 / scale)
-        self.numerator = num
-        self.denominator = den
+        cofactor, remainder = poly_divmod(_ONE_MINUS_T4, den)
+        if remainder:
+            raise ValueError(f"denominator {den} does not divide 1 - t^4")
+        self._num = num * cofactor
+
+    @classmethod
+    def _from_numerator(cls, num: RatPoly) -> "RatFn":
+        # Trusted path for results of arithmetic: num is already over 1 - t^4.
+        out = object.__new__(cls)
+        out._num = num
+        return out
 
     @staticmethod
     def _as_poly(value) -> RatPoly:
@@ -388,15 +381,12 @@ class RatFn:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFn(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
+        return RatFn._from_numerator(self._num + other._num)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFn(-self.numerator, self.denominator)
+        return RatFn._from_numerator(-self._num)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -414,7 +404,10 @@ class RatFn:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RatFn(self.numerator * other.numerator, self.denominator * other.denominator)
+        num, remainder = poly_divmod(self._num * other._num, _ONE_MINUS_T4)
+        if remainder:
+            raise ValueError("product has a denominator that does not divide 1 - t^4")
+        return RatFn._from_numerator(num)
 
     __rmul__ = __mul__
 
@@ -422,50 +415,48 @@ class RatFn:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
+        return self._num == other._num
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        return hash(self._num)
 
     def __bool__(self):
-        return not self.numerator.is_zero
+        return not self._num.is_zero
+
+    def _reduced(self) -> tuple[RatPoly, RatPoly]:
+        # The monic gcd g is a product of the integer factors t - 1, t + 1 and
+        # t^2 + 1 of t^4 - 1, so (t^4 - 1) / g is integer-primitive and monic.
+        g = poly_gcd(self._num, _ONE_MINUS_T4)
+        return -poly_divmod(self._num, g)[0], poly_divmod(-_ONE_MINUS_T4, g)[0]
 
     def __str__(self):
-        if self.denominator == RatPoly.one():
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.denominator})"
+        num, den = self._reduced()
+        if den == RatPoly.one():
+            return str(num)
+        return f"({num}) / ({den})"
 
     def __repr__(self):
         return f"RatFn({self})"
 
     # -- queries --------------------------------------------------------------
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.denominator.degree() == 0
-
     def to_polynomial(self) -> RatPoly:
         """The polynomial equal to this function, or NotPolynomialError."""
-        if self.is_polynomial:
-            return self.numerator * (1 / self.denominator.coefficient(0))
-        raise NotPolynomialError(*poly_divmod(self.numerator, self.denominator))
+        quotient, remainder = poly_divmod(self._num, _ONE_MINUS_T4)
+        if remainder:
+            raise NotPolynomialError(quotient, remainder)
+        return quotient
 
     def series(self, n_max: int = 40) -> list[Fraction]:
-        """Exact Taylor coefficients c0..c_{n_max} at t = 0."""
+        """Exact Taylor coefficients c0..c_{n_max} at t = 0: c_k = N_k + c_{k-4}."""
         if n_max < 0:
             raise ValueError("series order must be non-negative")
-        d0 = self.denominator.coefficient(0)
-        if not d0:
-            raise PoleAtZeroError("denominator vanishes at t = 0")
-        den_deg = int(max(self.denominator.degree(), 0))
         out: list[Fraction] = []
         for k in range(n_max + 1):
-            acc = self.numerator.coefficient(k)
-            for j in range(1, min(k, den_deg) + 1):
-                acc -= self.denominator.coefficient(j) * out[k - j]
-            out.append(acc / d0)
+            acc = self._num.coefficient(k)
+            out.append(acc + out[k - 4] if k >= 4 else acc)
         return out
 
     def to_json(self) -> dict:
-        return {"numerator": self.numerator.to_json(), "denominator": self.denominator.to_json()}
-
+        num, den = self._reduced()
+        return {"numerator": num.to_json(), "denominator": den.to_json()}

@@ -183,6 +183,24 @@ def test_corrupt_cache_is_recomputed(capsys, isolated_cache):
     assert first == second
 
 
+@pytest.mark.parametrize("entry", [[], {"schema": SCHEMA_VERSION}], ids=["list", "schema-only"])
+def test_damaged_cache_entry_is_recomputed(capsys, isolated_cache, entry):
+    argv = ["orbit", "--n", "2", "--target", "plus"]
+    _, expected = run(capsys, *argv, "--no-cache")
+    planted = isolated_cache / f"{_request_key(build_parser().parse_args(argv))}.json"
+    isolated_cache.mkdir(parents=True)
+    planted.write_text(json.dumps(entry))
+    assert run(capsys, *argv) == (0, expected)
+    assert planted.read_text() == expected  # the damaged entry is overwritten
+
+
+def test_series_outputs_match_golden(capsys):
+    # Request line -> stdout, recorded before series became numerators over 1 - t^4.
+    golden = json.loads((ROOT / "tests" / "golden" / "series_outputs.json").read_text())
+    for line, expected in golden.items():
+        assert run(capsys, *line.split()) == (0, expected), line
+
+
 def test_csv_and_json_carry_identical_content(capsys):
     _, json_out = run(capsys, "betti", "--n", "2", "--target", "plus")
     _, csv_out = run(capsys, "betti", "--n", "2", "--target", "plus", "--format", "csv")

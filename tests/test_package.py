@@ -45,3 +45,10 @@ def test_traced_cup_table_counts_signs_without_numpy(tmp_path):
     assert traced == plain
     assert metrics["cli.numpy_imported"] == 0
     assert metrics["exterior.koszul_sign_calls"] > 0
+
+
+def test_traced_verify_takes_no_gcd(tmp_path):
+    # Series stay numerators over 1 - t^4; only printing one reduces it.
+    traced, plain, metrics = _run_traced(tmp_path, ["verify", "--n-max", "2", "--no-cache"])
+    assert traced == plain
+    assert metrics.get("ratpoly.poly_gcd_calls", 0) == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from su2rep.ratpoly import (
     NotPolynomialError,
-    PoleAtZeroError,
     RatFn,
     RatPoly,
     poly_divmod,
@@ -47,6 +47,20 @@ def polys(draw, max_degree=6, arity=1):
 
 
 nonzero_polys = polys().filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def period_divisors(draw):
+    """Nonzero rational multiples of the divisors of 1 - t^4 = (1 - t)(1 + t)(1 + t^2)."""
+    den = RatPoly.constant(draw(fractions.filter(bool)))
+    for factor in (one - t(), one + t(), one + t(2)):
+        if draw(st.booleans()):
+            den = den * factor
+    return den
+
+
+def from_json(triples) -> RatPoly:
+    return RatPoly({e: Fraction(int(num), int(den)) for e, num, den in triples})
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -144,21 +158,27 @@ def test_series_of_unit():
     assert RatFn(one + t(), one + t()).series(3) == [1, 0, 0, 0]
 
 
-def test_series_pole_at_zero():
-    with pytest.raises(PoleAtZeroError):
-        RatFn(one, t()).series(3)
+def test_denominator_must_divide_one_minus_t4():
+    # t would be a pole at 0; 1 + 3t is coprime to 1 - t^4.
+    for den in (t(), one + 3 * t(), (one - t()) ** 2):
+        with pytest.raises(ValueError):
+            RatFn(one, den)
+    with pytest.raises(ZeroDivisionError):
+        RatFn(one, 0)
+
+
+def test_product_leaving_the_domain_raises():
+    f = RatFn(one, one - t(2))
+    with pytest.raises(ValueError):
+        _ = f * f  # 1 / (1 - t^2)^2
+    with pytest.raises(ValueError):
+        _ = f * f * (one - t(2))
+    assert f * ((one - t(2)) * f) == f
 
 
 def test_denominator_is_primitive_with_positive_lead():
     f = RatFn(2 * one + 2 * t(), -2 * one + 2 * t())
-    assert f.denominator == -one + t()
-    assert f.numerator == one + t()
-    g = RatFn(one, RatPoly({0: Fraction(1, 2), 1: Fraction(3, 2)}))
-    assert g.denominator == one + 3 * t()
-    assert g.numerator == RatPoly.constant(2)
-    h = RatFn(one - t(), 2 * one - 2 * t(2))
-    assert h.denominator == one + t()
-    assert h.numerator == RatPoly.constant(Fraction(1, 2))
+    assert f.to_json() == {"numerator": (one + t()).to_json(), "denominator": (-one + t()).to_json()}
 
 
 # -- property tests -------------------------------------------------------------
@@ -178,25 +198,37 @@ def test_ring_axioms_bivariate(p, q, r):
     assert (p * q) * r == p * (q * r)
 
 
-@given(nonzero_polys, nonzero_polys)
+@given(nonzero_polys, period_divisors())
 def test_ratfn_cancellation(p, q):
     f = RatFn(p, q)
     assert f + (-f) == RatFn(RatPoly.zero())
+    assert f + (-f) == 0
     assert not (f - f)
 
 
-@given(nonzero_polys, nonzero_polys, nonzero_polys, nonzero_polys)
+@given(nonzero_polys, period_divisors(), nonzero_polys, period_divisors())
 def test_equality_matches_cross_multiplication(a, b, c, d):
     cross = a * d == b * c
     assert (RatFn(a, b) == RatFn(c, d)) == cross
 
 
-@given(nonzero_polys, nonzero_polys)
+@given(polys(), period_divisors())
+def test_json_form_is_coprime_and_primitive(p, q):
+    f = RatFn(p, q)
+    form = f.to_json()
+    num, den = from_json(form["numerator"]), from_json(form["denominator"])
+    assert poly_gcd(num, den) == one
+    assert all(c.denominator == 1 for _, c in den.items())
+    assert math.gcd(*(int(c) for _, c in den.items())) == 1
+    assert den.leading_coefficient() > 0
+    assert RatFn(num, den) == f
+
+
+@given(nonzero_polys, period_divisors())
 def test_series_survives_simplification(p, q):
     f = RatFn(p * q, q)  # always simplifies to the polynomial p
     assert f.to_polynomial() == p
-    if q.coefficient(0):
-        assert f.series(10) == RatFn(p).series(10)
+    assert f.series(10) == RatFn(p).series(10)
 
 
 @given(nonzero_polys, nonzero_polys)
