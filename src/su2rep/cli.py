@@ -3,9 +3,11 @@
 Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  Identical requests produce byte-identical output, with or without
-the on-disk cache; the cache is a pure accelerator keyed by the request and
-written atomically (temp file + rename).  ``verify`` and ``numeric-check``
-never read or write it, so their verdicts always come from the running code.
+the on-disk cache; the cache is a pure accelerator, written atomically (temp
+file + rename) and keyed by the request, the package version and a digest of
+the package source, so an entry written by other code never matches.
+``verify`` and ``numeric-check`` never read or write it, so their verdicts
+always come from the running code.
 
 Exit codes: 0 success, 1 mathematical inconsistency (a cross-check failed,
 which means a bug, never bad input), 2 usage error.
@@ -24,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import checks, locimage, surfaces
+from . import __version__, checks, locimage, surfaces
 from .exterior import ENUMERATION_CAP, Sector
 from .ratpoly import NotPolynomialError, RatPoly
 from .targets import ConsistencyError, SurfaceTarget, TargetKind
@@ -85,7 +87,7 @@ def _cmd_bigraded(ns) -> dict:
     payload.update(
         {
             "variety": target.variant.value,
-            "bigraded": bigraded.to_json(),
+            "bigraded": [[[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items())],
             "specialized": _dense_int(surfaces.specialize_total_degree(bigraded)),
             "specialization_rule": "x^a y^b -> t^(a+b)",
         }
@@ -250,6 +252,8 @@ def _validate(parser: argparse.ArgumentParser, ns):
         parser.error("--degree-bound must be non-negative")
     if getattr(ns, "n_max", None) is not None and ns.n_max < 1:
         parser.error("--n-max must be at least 1")
+    if getattr(ns, "seed", None) is not None and ns.seed < 0:
+        parser.error("--seed must be non-negative")
     if ns.command in _CENTRAL_ONLY and ns.target == "generic":
         parser.error(f"{ns.command} is defined for central targets only (--target plus or minus)")
 
@@ -264,8 +268,18 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "su2rep"
 
 
+def _source_digest() -> str:
+    """sha256 over the bytes of every su2rep/*.py file, in sorted name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _request_key(ns) -> str:
     fields = {
+        "version": __version__,
+        "source": _source_digest(),
         "command": ns.command,
         "n": getattr(ns, "n", None),
         "target": getattr(ns, "target", None),
@@ -343,10 +357,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     _validate(parser, ns)
 
-    key = _request_key(ns)
     use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
     payload = None
     if use_cache:
+        key = _request_key(ns)
         payload = _cache_load(key, _base_payload(ns.command, ns))
     text = None
     if payload is None:

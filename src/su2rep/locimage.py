@@ -384,10 +384,9 @@ def matrix_rank_exact(matrix: list[list[Fraction]]) -> int:
     return rank
 
 
-def bigraded_generating_function(n: int, variant: Variant, *, allow_large: bool = False) -> RatPoly:
-    """Two-variable generating function sum(x^k y^(2l)) of the canonical basis."""
-    counts = Counter(cls.bidegree for cls in ordinary_basis(n, variant, allow_large=allow_large))
-    return RatPoly(counts, arity=2)
+def bigraded_generating_function(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:
+    """Canonical basis classes counted by bidegree (k, 2l), as a dict with no zero entries."""
+    return dict(Counter(cls.bidegree for cls in ordinary_basis(n, variant, allow_large=allow_large)))
 
 
 def total_degree_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:

@@ -1,10 +1,10 @@
 """Exact rational polynomials and rational functions.
 
-Polynomials are stored sparsely as a map from exponents to nonzero
-``fractions.Fraction`` coefficients.  Univariate polynomials (arity 1) use
-non-negative integer exponents in the variable ``t``; bivariate polynomials
-(arity 2) use ``(i, j)`` exponent pairs in the variables ``(x, y)``, listed
-in lexicographic (x-degree, y-degree) order whenever they are serialized.
+Polynomials are univariate in ``t`` and stored sparsely as a map from
+non-negative integer exponents to nonzero ``fractions.Fraction``
+coefficients.  The one two-variable object of the package, the bigraded
+Poincare polynomial, is a table of Betti numbers by bidegree and is held as
+a plain ``dict`` (see :func:`su2rep.surfaces.bigraded_poincare`).
 
 Every series the package needs is a polynomial over H*(BSU(2)) = Q[c]
 (c in degree 4), or over Q[c1] (c1 in degree 2) for the torus, fixed-locus
@@ -51,57 +51,38 @@ def _coerce_coeff(value) -> Fraction:
 
 
 class RatPoly:
-    """Sparse polynomial over Q in one variable ``t`` or two variables ``(x, y)``."""
+    """Sparse polynomial over Q in one variable ``t``."""
 
-    __slots__ = ("arity", "_coeffs")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs=None, arity: int = 1):
-        if arity not in (1, 2):
-            raise ValueError("arity must be 1 or 2")
+    def __init__(self, coeffs=None):
         data = {}
         for exp, value in (coeffs or {}).items():
+            if not isinstance(exp, int) or exp < 0:
+                raise ValueError(f"exponent must be a non-negative int, got {exp!r}")
             value = _coerce_coeff(value)
-            if not value:
-                continue
-            if arity == 1:
-                if not isinstance(exp, int) or exp < 0:
-                    raise ValueError(f"univariate exponent must be a non-negative int, got {exp!r}")
-            else:
-                i, j = exp
-                exp = (int(i), int(j))
-                if exp[0] < 0 or exp[1] < 0:
-                    raise ValueError(f"bivariate exponents must be non-negative, got {exp!r}")
-            data[exp] = value
-        self.arity = arity
+            if value:
+                data[exp] = value
         self._coeffs = data
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, arity: int = 1) -> "RatPoly":
-        return cls({}, arity)
+    def zero(cls) -> "RatPoly":
+        return cls({})
 
     @classmethod
-    def one(cls, arity: int = 1) -> "RatPoly":
-        return cls.constant(1, arity)
+    def one(cls) -> "RatPoly":
+        return cls.constant(1)
 
     @classmethod
-    def constant(cls, value, arity: int = 1) -> "RatPoly":
-        exp = 0 if arity == 1 else (0, 0)
-        return cls({exp: Fraction(value)}, arity)
+    def constant(cls, value) -> "RatPoly":
+        return cls({0: Fraction(value)})
 
     @classmethod
     def t(cls, power: int = 1) -> "RatPoly":
         """The monomial t**power."""
         return cls({power: Fraction(1)})
-
-    @classmethod
-    def x(cls, power: int = 1) -> "RatPoly":
-        return cls({(power, 0): Fraction(1)}, 2)
-
-    @classmethod
-    def y(cls, power: int = 1) -> "RatPoly":
-        return cls({(0, power): Fraction(1)}, 2)
 
     # -- basic queries -----------------------------------------------------
 
@@ -110,12 +91,10 @@ class RatPoly:
         return not self._coeffs
 
     def degree(self):
-        """Total degree; -inf for the zero polynomial."""
+        """Degree; -inf for the zero polynomial."""
         if not self._coeffs:
             return -math.inf
-        if self.arity == 1:
-            return max(self._coeffs)
-        return max(i + j for i, j in self._coeffs)
+        return max(self._coeffs)
 
     def coefficient(self, exp) -> Fraction:
         return self._coeffs.get(exp, Fraction(0))
@@ -125,8 +104,7 @@ class RatPoly:
         return sorted(self._coeffs.items())
 
     def dense_coefficients(self, upto: int | None = None) -> list[Fraction]:
-        """Univariate coefficient list c0..c_max (or ..c_upto)."""
-        self._require_univariate()
+        """Coefficient list c0..c_max (or ..c_upto)."""
         top = self.degree()
         n = int(top) if top >= 0 else 0
         if upto is not None:
@@ -134,18 +112,9 @@ class RatPoly:
         return [self.coefficient(k) for k in range(n + 1)]
 
     def leading_coefficient(self) -> Fraction:
-        self._require_univariate()
         if self.is_zero:
             return Fraction(0)
         return self._coeffs[max(self._coeffs)]
-
-    def _require_univariate(self):
-        if self.arity != 1:
-            raise ValueError("operation requires a univariate polynomial")
-
-    def _require_same_arity(self, other: "RatPoly"):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch: cannot mix univariate and bivariate polynomials")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -153,14 +122,13 @@ class RatPoly:
         if isinstance(other, RatPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatPoly.constant(other, self.arity)
+            return RatPoly.constant(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._require_same_arity(other)
         out = dict(self._coeffs)
         for exp, value in other._coeffs.items():
             acc = out.get(exp, Fraction(0)) + value
@@ -168,12 +136,12 @@ class RatPoly:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        return RatPoly(out, self.arity)
+        return RatPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly({e: -c for e, c in self._coeffs.items()}, self.arity)
+        return RatPoly({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -191,28 +159,27 @@ class RatPoly:
         if isinstance(other, (int, Fraction)):
             scale = Fraction(other)
             if not scale:
-                return RatPoly.zero(self.arity)
-            return RatPoly({e: c * scale for e, c in self._coeffs.items()}, self.arity)
+                return RatPoly.zero()
+            return RatPoly({e: c * scale for e, c in self._coeffs.items()})
         if not isinstance(other, RatPoly):
             return NotImplemented
-        self._require_same_arity(other)
         out: dict = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                exp = e1 + e2 if self.arity == 1 else (e1[0] + e2[0], e1[1] + e2[1])
+                exp = e1 + e2
                 acc = out.get(exp, Fraction(0)) + c1 * c2
                 if acc:
                     out[exp] = acc
                 else:
                     out.pop(exp, None)
-        return RatPoly(out, self.arity)
+        return RatPoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = RatPoly.one(self.arity)
+        result = RatPoly.one()
         base = self
         while exponent:
             if exponent & 1:
@@ -223,8 +190,7 @@ class RatPoly:
         return result
 
     def __call__(self, value) -> Fraction:
-        """Evaluate a univariate polynomial at an exact rational point."""
-        self._require_univariate()
+        """Evaluate at an exact rational point."""
         value = Fraction(value)
         return sum((c * value**e for e, c in self._coeffs.items()), Fraction(0))
 
@@ -234,25 +200,16 @@ class RatPoly:
         other = self._coerce(other) if not isinstance(other, RatPoly) else other
         if other is None:
             return NotImplemented
-        return self.arity == other.arity and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self._coeffs.items())))
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self):
         return not self.is_zero
 
     def _term_str(self, exp, coeff) -> str:
-        if self.arity == 1:
-            vars_part = "" if exp == 0 else ("t" if exp == 1 else f"t^{exp}")
-        else:
-            i, j = exp
-            pieces = []
-            if i:
-                pieces.append("x" if i == 1 else f"x^{i}")
-            if j:
-                pieces.append("y" if j == 1 else f"y^{j}")
-            vars_part = "*".join(pieces)
+        vars_part = "" if exp == 0 else ("t" if exp == 1 else f"t^{exp}")
         if not vars_part:
             return str(coeff)
         if coeff == 1:
@@ -276,21 +233,16 @@ class RatPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:
-        """JSON form: [exponent(s), numerator-string, denominator-string] triples.
+        """JSON form: [exponent, numerator-string, denominator-string] triples.
 
         Integer parts are emitted as decimal strings so arbitrary precision
         survives any JSON consumer.
         """
-        out = []
-        for exp, coeff in self.items():
-            key = exp if self.arity == 1 else [exp[0], exp[1]]
-            out.append([key, str(coeff.numerator), str(coeff.denominator)])
-        return out
+        return [[exp, str(coeff.numerator), str(coeff.denominator)] for exp, coeff in self.items()]
 
 
 def poly_reciprocal(p: RatPoly, d: int) -> RatPoly:
     """The reversal t**d * p(1/t); requires d >= deg(p) so the result is a polynomial."""
-    p._require_univariate()
     if d < 0:
         raise ValueError("reversal degree must be non-negative")
     if not p.is_zero and d < p.degree():
@@ -299,9 +251,7 @@ def poly_reciprocal(p: RatPoly, d: int) -> RatPoly:
 
 
 def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Euclidean division of univariate polynomials: a = q*b + r, deg r < deg b."""
-    a._require_univariate()
-    b._require_univariate()
+    """Euclidean division of polynomials: a = q*b + r, deg r < deg b."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     quot: dict = {}
@@ -324,9 +274,7 @@ def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd of univariate polynomials over Q (zero if both are zero)."""
-    a._require_univariate()
-    b._require_univariate()
+    """Monic gcd of polynomials over Q (zero if both are zero)."""
     while not b.is_zero:
         a, b = b, poly_divmod(a, b)[1]
     if a.is_zero:
@@ -346,7 +294,6 @@ class RatFn:
     def __init__(self, numerator, denominator=1):
         num = self._as_poly(numerator)
         den = self._as_poly(denominator)
-        num._require_univariate()
         cofactor, remainder = poly_divmod(_ONE_MINUS_T4, den)
         if remainder:
             raise ValueError(f"denominator {den} does not divide 1 - t^4")

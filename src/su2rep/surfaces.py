@@ -21,6 +21,8 @@ facts are reported as metadata flags by the CLI rather than computed rings.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,37 +63,34 @@ def poincare(target: SurfaceTarget) -> RatPoly:
     return plus + minus
 
 
-def bigraded_poincare(target: SurfaceTarget) -> RatPoly:
-    """Two-variable Poincare polynomial in (x, y); central targets only.
+def bigraded_poincare(target: SurfaceTarget) -> dict[tuple[int, int], int]:
+    """Betti numbers by bidegree (k, 2l), as a dict with no zero entries; central targets only.
 
-    The plus sector contributes (1 + x y^2)^n and the minus sector
-    (x + y^2)^n, with an extra factor y^2 on the singular fiber.  A class of
-    bidegree (k, 2l) appears as x^k y^(2l).
+    The plus sector contributes (1 + x y^2)^n, that is C(n, k) classes in
+    bidegree (k, 2k), and the minus sector (x + y^2)^n, that is C(n, k)
+    classes in bidegree (k, 2(n - k)), shifted by y^2 on the singular fiber.
     """
     if not target.is_central:
         raise ValueError("the bigrading is stated for central targets only")
     n = target.n
-    x, y2 = RatPoly.x(), RatPoly.y(2)
-    one = RatPoly.one(arity=2)
-    plus = (one + x * y2) ** n
-    minus = (x + y2) ** n
-    if target.variant is Variant.SINGULAR:
-        minus = y2 * minus
-    return plus + minus
+    shift = 2 if target.variant is Variant.SINGULAR else 0
+    counts: Counter = Counter()
+    for k in range(n + 1):
+        counts[k, 2 * k] += math.comb(n, k)
+        counts[k, 2 * (n - k) + shift] += math.comb(n, k)
+    return dict(counts)
 
 
-def specialize_total_degree(p: RatPoly) -> RatPoly:
-    """Collapse the bigrading to the single grading: x^a y^b -> t^(a+b).
+def specialize_total_degree(bigraded: dict[tuple[int, int], int]) -> RatPoly:
+    """Collapse the bigrading to the single grading: bidegree (a, b) -> t^(a+b).
 
     A bidegree-(k, 2l) class has cohomological degree k + 2l, so the rule is
     forced by the minimal-c1 representatives of the canonical basis.
     """
-    if p.arity != 2:
-        raise ValueError("expected a bivariate polynomial")
-    out = RatPoly.zero()
-    for (a, b), coeff in p.items():
-        out = out + RatPoly({a + b: coeff})
-    return out
+    counts: Counter = Counter()
+    for (a, b), count in bigraded.items():
+        counts[a + b] += count
+    return RatPoly(counts)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,11 @@ def test_negative_n_rejected(capsys):
     assert code == 2
 
 
+def test_negative_seed_rejected(capsys):
+    code, _ = run(capsys, "numeric-check", "--seed", "-1")
+    assert code == 2
+
+
 def test_cap_enforced_for_enumerating_commands(capsys):
     code, _ = run(capsys, "cup-table", "--n", "40", "--target", "minus")
     assert code == 2
@@ -194,8 +200,29 @@ def test_damaged_cache_entry_is_recomputed(capsys, isolated_cache, entry):
     assert planted.read_text() == expected  # the damaged entry is overwritten
 
 
+def test_cache_entry_from_other_code_is_not_served(tmp_path):
+    package = tmp_path / "src" / "su2rep"
+    shutil.copytree(ROOT / "src" / "su2rep", package, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(package.parent), "SU2REP_CACHE_DIR": str(tmp_path / "cache")}
+    argv = [sys.executable, "-m", "su2rep.cli", "betti", "--n", "1", "--target", "plus"]
+
+    def stdout(*extra):
+        return subprocess.run([*argv, *extra], capture_output=True, env=env, check=True).stdout
+
+    expected = stdout("--no-cache")
+    assert stdout() == expected  # stores the entry
+    [entry] = (tmp_path / "cache").iterdir()
+    planted = {"schema": SCHEMA_VERSION, "command": "betti", "n": 1, "target": "plus", "poincare": [7]}
+    entry.write_text(json.dumps(planted))
+    assert stdout() != expected  # the same code serves its own entry
+    with open(package / "surfaces.py", "a") as handle:
+        handle.write("# edited\n")
+    assert stdout() == expected
+
+
 def test_series_outputs_match_golden(capsys):
-    # Request line -> stdout, recorded before series became numerators over 1 - t^4.
+    # Request line -> stdout, recorded before series became numerators over 1 - t^4
+    # and, for the bigraded lines, before RatPoly became univariate.
     golden = json.loads((ROOT / "tests" / "golden" / "series_outputs.json").read_text())
     for line, expected in golden.items():
         assert run(capsys, *line.split()) == (0, expected), line

@@ -86,11 +86,10 @@ def test_plus_sector_is_ambient_tuple_cohomology():
 
 
 def test_bigraded_closed_forms_small():
-    x, y2 = RatPoly.x(), RatPoly.y(2)
-    one2 = RatPoly.one(arity=2)
-    assert bigraded_poincare(SurfaceTarget.regular(1)) == (one2 + x * y2) + (x + y2)
-    assert bigraded_poincare(SurfaceTarget.singular(0)) == one2 + y2
-    assert bigraded_poincare(SurfaceTarget.regular(0)) == RatPoly.constant(2, arity=2)
+    # (1 + x y^2) + (x + y^2), then 1 + y^2, then 1 + 1
+    assert bigraded_poincare(SurfaceTarget.regular(1)) == {(0, 0): 1, (1, 2): 1, (1, 0): 1, (0, 2): 1}
+    assert bigraded_poincare(SurfaceTarget.singular(0)) == {(0, 0): 1, (0, 2): 1}
+    assert bigraded_poincare(SurfaceTarget.regular(0)) == {(0, 0): 2}
 
 
 def test_bigraded_rejects_generic():
