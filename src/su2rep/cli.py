@@ -4,8 +4,9 @@ Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  Identical requests produce byte-identical output, with or without
 the on-disk cache; the cache is a pure accelerator, written atomically (temp
-file + rename) and keyed by the request, the package version and a digest of
-the package source, so an entry written by other code never matches.
+file + rename) and named by a digest of the package source and a key of the
+request and the package version, so an entry written by other code never
+matches.  A store removes the entries of other source digests.
 ``verify`` and ``numeric-check`` never read or write it, so their verdicts
 always come from the running code.
 
@@ -22,13 +23,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 from . import __version__, checks, locimage, surfaces
 from .exterior import ENUMERATION_CAP, Sector
-from .ratpoly import NotPolynomialError, RatPoly
+from .ratpoly import NotPolynomialError
 from .targets import ConsistencyError, SurfaceTarget, TargetKind
 
 SCHEMA_VERSION = 1
@@ -38,15 +40,8 @@ _CENTRAL_ONLY = {"bigraded", "localization-image", "cup-table"}
 # Verdicts are recomputed on every run: a cached "passed" would outlive the
 # code that earned it.
 _NEVER_CACHED = {"verify", "numeric-check"}
-
-
-def _dense_int(poly: RatPoly) -> list[int]:
-    out = []
-    for coeff in poly.dense_coefficients():
-        if coeff.denominator != 1:
-            raise ConsistencyError(f"expected integer coefficients, got {coeff}")
-        out.append(int(coeff))
-    return out
+# An entry is "<source digest>-<request key>.json"; older code wrote "<request key>.json".
+_ENTRY_NAME = re.compile("([0-9a-f]{64}-)?[0-9a-f]{64}[.]json")
 
 
 def _base_payload(command: str, ns) -> dict:
@@ -69,9 +64,9 @@ def _cmd_betti(ns) -> dict:
     payload.update(
         {
             "variety": target.variant.value if target.is_central else "generic-product",
-            "poincare": _dense_int(plus + minus),
-            "poincare_plus": _dense_int(plus),
-            "poincare_minus": _dense_int(minus),
+            "poincare": (plus + minus).dense_coefficients(),
+            "poincare_plus": plus.dense_coefficients(),
+            "poincare_minus": minus.dense_coefficients(),
             "euler_characteristic": surfaces.euler_characteristic(target),
             "two_torsion": surfaces.has_two_torsion(target) if target.is_central else None,
             "dimension": 3 * target.n + (2 if target.kind is TargetKind.GENERIC else 0),
@@ -88,7 +83,7 @@ def _cmd_bigraded(ns) -> dict:
         {
             "variety": target.variant.value,
             "bigraded": [[[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items())],
-            "specialized": _dense_int(surfaces.specialize_total_degree(bigraded)),
+            "specialized": surfaces.specialize_total_degree(bigraded).dense_coefficients(),
             "specialization_rule": "x^a y^b -> t^(a+b)",
         }
     )
@@ -158,7 +153,7 @@ def _cmd_orbit(ns) -> dict:
     payload = _base_payload("orbit", ns)
     payload.update(
         {
-            "poincare": _dense_int(surfaces.orbit_poincare(target)),
+            "poincare": surfaces.orbit_poincare(target).dense_coefficients(),
             "pair_series": surfaces.pair_poincare(target).to_json(),
             "pair_cup_product_trivial": True,
             "reduced_cup_product_trivial": (
@@ -222,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--no-cache", action="store_true")
+        p.set_defaults(parser=p)  # usage errors are reported by the subcommand's own parser
 
     add_common(sub.add_parser("betti", help="Betti numbers and sector split"))
     add_common(sub.add_parser("bigraded", help="two-variable Poincare polynomial (central targets)"))
@@ -242,20 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, ns):
+def _validate(ns):
+    error = ns.parser.error
     if getattr(ns, "n", None) is not None:
         if ns.n < 0:
-            parser.error("--n must be non-negative")
+            error("--n must be non-negative")
         if ns.command in {"localization-image", "cup-table"} and ns.n > ENUMERATION_CAP:
-            parser.error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
+            error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
     if getattr(ns, "degree_bound", None) is not None and ns.degree_bound < 0:
-        parser.error("--degree-bound must be non-negative")
+        error("--degree-bound must be non-negative")
     if getattr(ns, "n_max", None) is not None and ns.n_max < 1:
-        parser.error("--n-max must be at least 1")
+        error("--n-max must be at least 1")
     if getattr(ns, "seed", None) is not None and ns.seed < 0:
-        parser.error("--seed must be non-negative")
+        error("--seed must be non-negative")
     if ns.command in _CENTRAL_ONLY and ns.target == "generic":
-        parser.error(f"{ns.command} is defined for central targets only (--target plus or minus)")
+        error(f"{ns.command} is defined for central targets only (--target plus or minus)")
 
 
 # -- caching ---------------------------------------------------------------
@@ -279,7 +276,6 @@ def _source_digest() -> str:
 def _request_key(ns) -> str:
     fields = {
         "version": __version__,
-        "source": _source_digest(),
         "command": ns.command,
         "n": getattr(ns, "n", None),
         "target": getattr(ns, "target", None),
@@ -291,9 +287,13 @@ def _request_key(ns) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_load(key: str, base: dict):
+def _entry_path(ns) -> Path:
+    """Where the request's entry lives; the file name starts with the source digest."""
+    return _cache_dir() / f"{_source_digest()}-{_request_key(ns)}.json"
+
+
+def _cache_load(path: Path, base: dict):
     """The cached payload, or None unless it is a dict holding every field of base."""
-    path = _cache_dir() / f"{key}.json"
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -303,15 +303,21 @@ def _cache_load(key: str, base: dict):
     return None
 
 
-def _cache_store(key: str, text: str):
-    directory = _cache_dir()
+def _cache_store(path: Path, text: str):
+    """Write the entry atomically, then evict the entries written by other code."""
+    directory = path.parent
+    digest = path.name[:64]
     tmp = None
     try:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.replace(tmp, directory / f"{key}.json")
+        os.replace(tmp, path)
+        tmp = None
+        for other in directory.iterdir():
+            if _ENTRY_NAME.fullmatch(other.name) and not other.name.startswith(digest):
+                other.unlink(missing_ok=True)
     except OSError:
         # Caching is best effort only, but leaves no partial file behind.
         if tmp is not None:
@@ -355,13 +361,13 @@ def _render_csv(payload: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    _validate(parser, ns)
+    _validate(ns)
 
     use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
     payload = None
     if use_cache:
-        key = _request_key(ns)
-        payload = _cache_load(key, _base_payload(ns.command, ns))
+        entry = _entry_path(ns)
+        payload = _cache_load(entry, _base_payload(ns.command, ns))
     text = None
     if payload is None:
         try:
@@ -371,7 +377,7 @@ def main(argv=None) -> int:
             return 1
         if use_cache:
             text = _render_json(payload)
-            _cache_store(key, text)
+            _cache_store(entry, text)
 
     if ns.format == "csv":
         text = _render_csv(payload)

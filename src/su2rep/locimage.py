@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
@@ -340,7 +339,7 @@ def cup_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict:
     }
 
 
-def minus_pairing_matrix(n: int, *, allow_large: bool = False) -> list[list[Fraction]]:
+def minus_pairing_matrix(n: int, *, allow_large: bool = False) -> list[list[int]]:
     """Pairing of minus-sector classes of the regular variety into top degree 3n."""
     check_enumeration_cap(n, allow_large)
     top = OrdClass(n, Variant.REGULAR, Sector.PLUS, (1 << n) - 1)
@@ -353,16 +352,20 @@ def minus_pairing_matrix(n: int, *, allow_large: bool = False) -> list[list[Frac
             b = OrdClass(n, Variant.REGULAR, Sector.MINUS, mask_b)
             product = cup_product(a, b)
             if product is None:
-                row.append(Fraction(0))
+                row.append(0)
             else:
                 sign, cls = product
-                row.append(Fraction(sign) if cls == top else Fraction(0))
+                row.append(sign if cls == top else 0)
         matrix.append(row)
     return matrix
 
 
-def matrix_rank_exact(matrix: list[list[Fraction]]) -> int:
-    """Rank over Q by fraction-free-enough Gaussian elimination."""
+def matrix_rank_exact(matrix: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free Gaussian elimination.
+
+    Each eliminated row is cross-multiplied and then divided by its content,
+    so the entries stay integers and the rows stay primitive.
+    """
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
@@ -375,9 +378,11 @@ def matrix_rank_exact(matrix: list[list[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [rv - factor * pv for rv, pv in zip(rows[r], rows[rank])]
+            factor = rows[r][col]
+            if factor:
+                row = [lead * rv - factor * pv for rv, pv in zip(rows[r], rows[rank])]
+                content = math.gcd(*row) or 1
+                rows[r] = [v // content for v in row]
         rank += 1
         if rank == len(rows):
             break
@@ -387,18 +392,3 @@ def matrix_rank_exact(matrix: list[list[Fraction]]) -> int:
 def bigraded_generating_function(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:
     """Canonical basis classes counted by bidegree (k, 2l), as a dict with no zero entries."""
     return dict(Counter(cls.bidegree for cls in ordinary_basis(n, variant, allow_large=allow_large)))
-
-
-def total_degree_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:
-    """Map each occupied bidegree (k, 2l) to the cohomological degree k + 2l.
-
-    Derived from the canonical basis; this is the validated specialization
-    rule from the bigrading back to the single grading.
-    """
-    table: dict[tuple[int, int], int] = {}
-    for cls in ordinary_basis(n, variant, allow_large=allow_large):
-        bi = cls.bidegree
-        degree = cls.degree
-        if table.setdefault(bi, degree) != degree:
-            raise ConsistencyError("inconsistent total degree within one bidegree")
-    return table

@@ -1,22 +1,23 @@
-"""Exact rational polynomials and rational functions.
+"""Exact integer polynomials and rational functions.
 
-Polynomials are univariate in ``t`` and stored sparsely as a map from
-non-negative integer exponents to nonzero ``fractions.Fraction``
-coefficients.  The one two-variable object of the package, the bigraded
-Poincare polynomial, is a table of Betti numbers by bidegree and is held as
-a plain ``dict`` (see :func:`su2rep.surfaces.bigraded_poincare`).
+Every invariant of the package is a Betti number or a Poincare series, so
+every coefficient is an ``int``.  A ``RatPoly`` is univariate in ``t`` and
+holds the trimmed tuple c0..c_deg of its coefficients.  The bigraded Poincare
+polynomial, the one two-variable object of the package, is a ``dict`` of
+Betti numbers by bidegree (see :func:`su2rep.surfaces.bigraded_poincare`).
 
-Every series the package needs is a polynomial over H*(BSU(2)) = Q[c]
-(c in degree 4), or over Q[c1] (c1 in degree 2) for the torus, fixed-locus
+Every series the package needs is a polynomial over H*(BSU(2)) = Z[c]
+(c in degree 4), or over Z[c1] (c1 in degree 2) for the torus, fixed-locus
 and localization-image versions, so every denominator divides 1 - t^4.  A
 ``RatFn`` holds one polynomial, the numerator N of N / (1 - t^4).  The
 constructor rescales a given numerator and denominator to that form and
-rejects a denominator that does not divide 1 - t^4.  Equality, hashing,
-sums, differences, products and Taylor coefficients work on N alone; no
-polynomial gcd is taken on those paths.  The coprime canonical form
-(numerator and denominator coprime, denominator integer-primitive with a
-positive leading coefficient) is computed only when a function is printed
-or serialized, by ``to_json`` and ``str``.
+rejects a denominator that does not divide 1 - t^4 over Z, such as 2 - 2t^2.
+The factors 1 - t, 1 + t and 1 + t^2 of 1 - t^4 are monic, so every division
+the package makes is exact over Z.  Equality, hashing, sums, differences,
+products and Taylor coefficients work on N alone; no polynomial gcd is taken
+on those paths.  The coprime canonical form (denominator primitive with a
+positive leading coefficient) is computed only when a function is printed or
+serialized, by ``to_json`` and ``str``.
 
 All values are immutable after construction and every operation is a pure
 function, so the types here are safe for unrestricted concurrent use.
@@ -25,7 +26,6 @@ function, so the types here are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class NotPolynomialError(ValueError):
@@ -42,47 +42,49 @@ class NotPolynomialError(ValueError):
         super().__init__(f"not a polynomial; division leaves remainder {remainder}")
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
-
-
 class RatPoly:
-    """Sparse polynomial over Q in one variable ``t``."""
+    """Polynomial over Z in one variable ``t``: the trimmed tuple of coefficients c0..c_deg."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        for exp, value in (coeffs or {}).items():
+        """Build from a mapping {exponent: int coefficient}; zero coefficients are dropped."""
+        coeffs = coeffs or {}
+        for exp, value in coeffs.items():
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a non-negative int, got {exp!r}")
-            value = _coerce_coeff(value)
-            if value:
-                data[exp] = value
-        self._coeffs = data
+            if not isinstance(value, int):
+                raise TypeError(f"coefficient must be an int, got {type(value).__name__}")
+        dense = [0] * (max(coeffs, default=-1) + 1)
+        for exp, value in coeffs.items():
+            dense[exp] = value
+        self._coeffs = _trimmed(dense)
+
+    @classmethod
+    def _dense(cls, coeffs: list[int]) -> "RatPoly":
+        # Trusted path for results of arithmetic: a fresh list of ints c0, c1, ...
+        out = object.__new__(cls)
+        out._coeffs = _trimmed(coeffs)
+        return out
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RatPoly":
-        return cls({})
+        return cls._dense([])
 
     @classmethod
     def one(cls) -> "RatPoly":
         return cls.constant(1)
 
     @classmethod
-    def constant(cls, value) -> "RatPoly":
-        return cls({0: Fraction(value)})
+    def constant(cls, value: int) -> "RatPoly":
+        return cls({0: value})
 
     @classmethod
     def t(cls, power: int = 1) -> "RatPoly":
         """The monomial t**power."""
-        return cls({power: Fraction(1)})
+        return cls({power: 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -92,36 +94,29 @@ class RatPoly:
 
     def degree(self):
         """Degree; -inf for the zero polynomial."""
-        if not self._coeffs:
-            return -math.inf
-        return max(self._coeffs)
+        return len(self._coeffs) - 1 if self._coeffs else -math.inf
 
-    def coefficient(self, exp) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+    def coefficient(self, exp: int) -> int:
+        return self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0
 
-    def items(self):
-        """Coefficients as (exponent, value) pairs in canonical order."""
-        return sorted(self._coeffs.items())
+    def items(self) -> list[tuple[int, int]]:
+        """Nonzero coefficients as (exponent, value) pairs in ascending order."""
+        return [(exp, c) for exp, c in enumerate(self._coeffs) if c]
 
-    def dense_coefficients(self, upto: int | None = None) -> list[Fraction]:
-        """Coefficient list c0..c_max (or ..c_upto)."""
-        top = self.degree()
-        n = int(top) if top >= 0 else 0
-        if upto is not None:
-            n = upto
-        return [self.coefficient(k) for k in range(n + 1)]
+    def dense_coefficients(self) -> list[int]:
+        """Coefficient list c0..c_deg; [0] for the zero polynomial."""
+        return list(self._coeffs) or [0]
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self._coeffs[max(self._coeffs)]
+    def leading_coefficient(self) -> int:
+        return self._coeffs[-1] if self._coeffs else 0
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, RatPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return RatPoly.constant(other)
         return None
 
@@ -129,19 +124,18 @@ class RatPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for exp, value in other._coeffs.items():
-            acc = out.get(exp, Fraction(0)) + value
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return RatPoly(out)
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for exp, c in enumerate(b):
+            out[exp] += c
+        return RatPoly._dense(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly({e: -c for e, c in self._coeffs.items()})
+        return RatPoly._dense([-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,23 +150,20 @@ class RatPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
-            if not scale:
-                return RatPoly.zero()
-            return RatPoly({e: c * scale for e, c in self._coeffs.items()})
+        if isinstance(other, int):
+            return RatPoly._dense([c * other for c in self._coeffs])
         if not isinstance(other, RatPoly):
             return NotImplemented
-        out: dict = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                exp = e1 + e2
-                acc = out.get(exp, Fraction(0)) + c1 * c2
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return RatPoly(out)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return RatPoly.zero()
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    out[i + j] += x * y
+        return RatPoly._dense(out)
 
     __rmul__ = __mul__
 
@@ -189,21 +180,23 @@ class RatPoly:
                 base = base * base
         return result
 
-    def __call__(self, value) -> Fraction:
-        """Evaluate at an exact rational point."""
-        value = Fraction(value)
-        return sum((c * value**e for e, c in self._coeffs.items()), Fraction(0))
+    def __call__(self, value):
+        """Evaluate at a point by Horner's rule; exact at an integer point."""
+        acc = 0
+        for c in reversed(self._coeffs):
+            acc = acc * value + c
+        return acc
 
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other) if not isinstance(other, RatPoly) else other
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._coeffs)
 
     def __bool__(self):
         return not self.is_zero
@@ -235,10 +228,16 @@ class RatPoly:
     def to_json(self) -> list:
         """JSON form: [exponent, numerator-string, denominator-string] triples.
 
-        Integer parts are emitted as decimal strings so arbitrary precision
-        survives any JSON consumer.
+        Integers are emitted as decimal strings so arbitrary precision
+        survives any JSON consumer; every denominator is "1".
         """
-        return [[exp, str(coeff.numerator), str(coeff.denominator)] for exp, coeff in self.items()]
+        return [[exp, str(coeff), "1"] for exp, coeff in self.items()]
+
+
+def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def poly_reciprocal(p: RatPoly, d: int) -> RatPoly:
@@ -247,39 +246,49 @@ def poly_reciprocal(p: RatPoly, d: int) -> RatPoly:
         raise ValueError("reversal degree must be non-negative")
     if not p.is_zero and d < p.degree():
         raise ValueError(f"reversal degree {d} is below deg(p) = {p.degree()}")
-    return RatPoly({d - e: c for e, c in p._coeffs.items()})
+    return RatPoly._dense([0] * (d + 1 - len(p._coeffs)) + list(reversed(p._coeffs)))
 
 
 def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Euclidean division of polynomials: a = q*b + r, deg r < deg b."""
+    """Euclidean division over Z: a = q*b + r, deg r < deg b.
+
+    Raises ValueError when a step's leading coefficient is not a multiple of
+    lead(b); that cannot happen when lead(b) = +-1 or when b divides a over Z.
+    """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    quot: dict = {}
-    rem = dict(a._coeffs)
-    deg_b = b.degree()
-    lead_b = b.leading_coefficient()
-    while rem and max(rem) >= deg_b:
-        deg_r = max(rem)
-        factor = rem[deg_r] / lead_b
-        shift = deg_r - deg_b
+    rem = list(a._coeffs)
+    deg_b = len(b._coeffs) - 1
+    lead_b = b._coeffs[-1]
+    terms = [(j, y) for j, y in enumerate(b._coeffs) if y]
+    quot = [0] * max(len(rem) - deg_b, 0)
+    for shift in reversed(range(len(quot))):
+        factor, inexact = divmod(rem[shift + deg_b], lead_b)
+        if inexact:
+            raise ValueError(f"{b} does not divide {a} over Z")
         quot[shift] = factor
-        for e, c in b._coeffs.items():
-            k = e + shift
-            acc = rem.get(k, Fraction(0)) - factor * c
-            if acc:
-                rem[k] = acc
-            else:
-                rem.pop(k, None)
-    return RatPoly(quot), RatPoly(rem)
+        if factor:
+            for j, y in terms:
+                rem[shift + j] -= factor * y
+    return RatPoly._dense(quot), RatPoly._dense(rem[:deg_b])
+
+
+def _primitive(p: RatPoly) -> RatPoly:
+    content = math.gcd(*p._coeffs) * (-1 if p.leading_coefficient() < 0 else 1)
+    return RatPoly._dense([c // content for c in p._coeffs]) if content else p
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd of polynomials over Q (zero if both are zero)."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a * (1 / a.leading_coefficient())
+    """Gcd over Q, scaled to be primitive over Z with a positive leading coefficient.
+
+    Zero if both are zero.  Runs Euclid on primitive pseudo-remainders: the
+    remainder of lead(b)^(deg a - deg b + 1) * a by b has integer coefficients.
+    """
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        scale = b.leading_coefficient() ** max(len(a._coeffs) - len(b._coeffs) + 1, 0)
+        a, b = b, _primitive(poly_divmod(scale * a, b)[1])
+    return a
 
 
 # Every denominator in the package divides this one (see the module docstring).
@@ -287,7 +296,7 @@ _ONE_MINUS_T4 = RatPoly({0: 1, 4: -1})
 
 
 class RatFn:
-    """Univariate rational function over Q, held as a numerator over 1 - t^4."""
+    """Univariate rational function over Q, held as an integer numerator over 1 - t^4."""
 
     __slots__ = ("_num",)
 
@@ -310,7 +319,7 @@ class RatFn:
     def _as_poly(value) -> RatPoly:
         if isinstance(value, RatPoly):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
             return RatPoly.constant(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
@@ -318,7 +327,7 @@ class RatFn:
     def _coerce(cls, other):
         if isinstance(other, RatFn):
             return other
-        if isinstance(other, (RatPoly, int, Fraction)):
+        if isinstance(other, (RatPoly, int)):
             return cls(other)
         return None
 
@@ -371,8 +380,8 @@ class RatFn:
         return not self._num.is_zero
 
     def _reduced(self) -> tuple[RatPoly, RatPoly]:
-        # The monic gcd g is a product of the integer factors t - 1, t + 1 and
-        # t^2 + 1 of t^4 - 1, so (t^4 - 1) / g is integer-primitive and monic.
+        # The primitive gcd g divides t^4 - 1 = (t - 1)(t + 1)(t^2 + 1), so it is
+        # monic and both divisions are exact over Z.
         g = poly_gcd(self._num, _ONE_MINUS_T4)
         return -poly_divmod(self._num, g)[0], poly_divmod(-_ONE_MINUS_T4, g)[0]
 
@@ -394,11 +403,11 @@ class RatFn:
             raise NotPolynomialError(quotient, remainder)
         return quotient
 
-    def series(self, n_max: int = 40) -> list[Fraction]:
+    def series(self, n_max: int = 40) -> list[int]:
         """Exact Taylor coefficients c0..c_{n_max} at t = 0: c_k = N_k + c_{k-4}."""
         if n_max < 0:
             raise ValueError("series order must be non-negative")
-        out: list[Fraction] = []
+        out: list[int] = []
         for k in range(n_max + 1):
             acc = self._num.coefficient(k)
             out.append(acc + out[k - 4] if k >= 4 else acc)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from su2rep import ConsistencyError, locimage, numeric, surfaces
-from su2rep.cli import SCHEMA_VERSION, _flatten, _request_key, build_parser, main
+from su2rep.cli import SCHEMA_VERSION, _entry_path, _flatten, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -165,6 +165,16 @@ def test_negative_seed_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["betti", "--n", "-1", "--target", "minus"], ["numeric-check", "--seed", "-1"]], ids=["betti", "numeric-check"]
+)
+def test_usage_error_shows_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"usage: su2rep {argv[0]} " in capsys.readouterr().err
+
+
 def test_cap_enforced_for_enumerating_commands(capsys):
     code, _ = run(capsys, "cup-table", "--n", "40", "--target", "minus")
     assert code == 2
@@ -193,7 +203,7 @@ def test_corrupt_cache_is_recomputed(capsys, isolated_cache):
 def test_damaged_cache_entry_is_recomputed(capsys, isolated_cache, entry):
     argv = ["orbit", "--n", "2", "--target", "plus"]
     _, expected = run(capsys, *argv, "--no-cache")
-    planted = isolated_cache / f"{_request_key(build_parser().parse_args(argv))}.json"
+    planted = _entry_path(build_parser().parse_args(argv))
     isolated_cache.mkdir(parents=True)
     planted.write_text(json.dumps(entry))
     assert run(capsys, *argv) == (0, expected)
@@ -214,10 +224,18 @@ def test_cache_entry_from_other_code_is_not_served(tmp_path):
     [entry] = (tmp_path / "cache").iterdir()
     planted = {"schema": SCHEMA_VERSION, "command": "betti", "n": 1, "target": "plus", "poincare": [7]}
     entry.write_text(json.dumps(planted))
+    unrelated = tmp_path / "cache" / "notes.json"
+    unrelated.write_text("{}")
+    flat_entry = tmp_path / "cache" / f"{'0' * 64}.json"  # named as entries were before the digest prefix
+    flat_entry.write_text("{}")
     assert stdout() != expected  # the same code serves its own entry
     with open(package / "surfaces.py", "a") as handle:
         handle.write("# edited\n")
     assert stdout() == expected
+    # The edited code's store evicts the old entry and nothing else.
+    [stored] = set((tmp_path / "cache").iterdir()) - {unrelated}
+    assert stored.name[:64] != entry.name[:64]
+    assert not entry.exists() and not flat_entry.exists() and unrelated.exists()
 
 
 def test_series_outputs_match_golden(capsys):
@@ -261,7 +279,7 @@ def _fail_numeric(monkeypatch):
     ids=["verify", "numeric-check"],
 )
 def test_cached_verdict_is_never_replayed(capsys, isolated_cache, monkeypatch, argv, break_check):
-    planted = isolated_cache / f"{_request_key(build_parser().parse_args(argv))}.json"
+    planted = _entry_path(build_parser().parse_args(argv))
     isolated_cache.mkdir(parents=True)
     planted.write_text(json.dumps({"schema": SCHEMA_VERSION, "command": argv[0], "checks": [], "passed": True}))
     break_check(monkeypatch)

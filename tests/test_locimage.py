@@ -19,7 +19,6 @@ from su2rep.locimage import (
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
-    total_degree_table,
 )
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.surfaces import bigraded_poincare, poincare, poincare_sectors
@@ -332,13 +331,6 @@ def test_bigraded_generating_function_matches_closed_form():
     for n in range(13):
         for variant, make in ((Variant.REGULAR, SurfaceTarget.regular), (Variant.SINGULAR, SurfaceTarget.singular)):
             assert bigraded_generating_function(n, variant) == bigraded_poincare(make(n))
-
-
-def test_total_degree_table_is_bidegree_sum():
-    for n in range(7):
-        for variant in Variant:
-            for (k, two_l), degree in total_degree_table(n, variant).items():
-                assert degree == k + two_l
 
 
 # -- golden tables ----------------------------------------------------------------

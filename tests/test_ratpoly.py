@@ -23,11 +23,8 @@ def poly(**coeffs):
 
 # -- strategies ---------------------------------------------------------------
 
-fractions = st.builds(
-    Fraction,
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=1, max_value=9),
-)
+coefficients = st.integers(min_value=-9, max_value=9)
+units = st.sampled_from([1, -1])
 
 
 @st.composite
@@ -35,7 +32,7 @@ def polys(draw, max_degree=6):
     n_terms = draw(st.integers(min_value=0, max_value=4))
     coeffs = {}
     for _ in range(n_terms):
-        coeffs[draw(st.integers(min_value=0, max_value=max_degree))] = draw(fractions)
+        coeffs[draw(st.integers(min_value=0, max_value=max_degree))] = draw(coefficients)
     return RatPoly(coeffs)
 
 
@@ -43,9 +40,17 @@ nonzero_polys = polys().filter(lambda p: not p.is_zero)
 
 
 @st.composite
+def unit_lead_polys(draw):
+    """Polynomials with leading coefficient +-1, which divide any polynomial over Z."""
+    d = draw(st.integers(min_value=0, max_value=6))
+    low = RatPoly({e: c for e, c in draw(polys()).items() if e < d})
+    return low + draw(units) * t(d)
+
+
+@st.composite
 def period_divisors(draw):
-    """Nonzero rational multiples of the divisors of 1 - t^4 = (1 - t)(1 + t)(1 + t^2)."""
-    den = RatPoly.constant(draw(fractions.filter(bool)))
+    """The divisors of 1 - t^4 = (1 - t)(1 + t)(1 + t^2) over Z, up to sign."""
+    den = RatPoly.constant(draw(units))
     for factor in (one - t(), one + t(), one + t(2)):
         if draw(st.booleans()):
             den = den * factor
@@ -53,7 +58,8 @@ def period_divisors(draw):
 
 
 def from_json(triples) -> RatPoly:
-    return RatPoly({e: Fraction(int(num), int(den)) for e, num, den in triples})
+    assert all(den == "1" for _, _, den in triples)
+    return RatPoly({e: int(num) for e, num, _ in triples})
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_regular_one_crosscap_expansion():
 
 
 def test_multiplication_by_zero_absorbs():
-    p = poly(e0=3, e2=Fraction(1, 2))
+    p = poly(e0=3, e2=-5)
     assert p * RatPoly.zero() == RatPoly.zero()
     assert (0 * p).is_zero
 
@@ -83,6 +89,12 @@ def test_degree_contract():
 def test_exponent_must_be_a_non_negative_int(exp, coeff):
     with pytest.raises(ValueError):
         RatPoly({exp: coeff})
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 1.0, "1"])
+def test_coefficient_must_be_an_int(coeff):
+    with pytest.raises(TypeError):
+        RatPoly({0: coeff})
 
 
 # -- poly_reciprocal -----------------------------------------------------------
@@ -151,8 +163,9 @@ def test_series_of_unit():
 
 
 def test_denominator_must_divide_one_minus_t4():
-    # t would be a pole at 0; 1 + 3t is coprime to 1 - t^4.
-    for den in (t(), one + 3 * t(), (one - t()) ** 2):
+    # t would be a pole at 0; 1 + 3t is coprime to 1 - t^4; 2 - 2t^2 divides
+    # 1 - t^4 over Q but not over Z.
+    for den in (t(), one + 3 * t(), (one - t()) ** 2, 2 * (one - t(2)), 2 * one):
         with pytest.raises(ValueError):
             RatFn(one, den)
     with pytest.raises(ZeroDivisionError):
@@ -169,7 +182,7 @@ def test_product_leaving_the_domain_raises():
 
 
 def test_denominator_is_primitive_with_positive_lead():
-    f = RatFn(2 * one + 2 * t(), -2 * one + 2 * t())
+    f = RatFn(-one - t(), one - t())
     assert f.to_json() == {"numerator": (one + t()).to_json(), "denominator": (-one + t()).to_json()}
 
 
@@ -204,8 +217,7 @@ def test_json_form_is_coprime_and_primitive(p, q):
     form = f.to_json()
     num, den = from_json(form["numerator"]), from_json(form["denominator"])
     assert poly_gcd(num, den) == one
-    assert all(c.denominator == 1 for _, c in den.items())
-    assert math.gcd(*(int(c) for _, c in den.items())) == 1
+    assert math.gcd(*(c for _, c in den.items())) == 1
     assert den.leading_coefficient() > 0
     assert RatFn(num, den) == f
 
@@ -217,24 +229,42 @@ def test_series_survives_simplification(p, q):
     assert f.series(10) == RatFn(p).series(10)
 
 
-@given(nonzero_polys, nonzero_polys)
+@given(polys(), unit_lead_polys())
 def test_divmod_reconstructs(a, b):
     quotient, remainder = poly_divmod(a, b)
     assert quotient * b + remainder == a
     assert remainder.degree() < b.degree()
 
 
-@given(nonzero_polys, nonzero_polys)
-def test_gcd_divides_both(a, b):
-    g = poly_gcd(a, b)
-    assert poly_divmod(a, g)[1].is_zero
-    assert poly_divmod(b, g)[1].is_zero
-    assert g.leading_coefficient() == 1
+def test_divmod_rejects_an_inexact_step():
+    with pytest.raises(ValueError):
+        poly_divmod(one + t(), 2 * t())
+    assert poly_divmod(2 + 2 * t(), 2 * t()) == (one, 2 * one)  # every step is exact
+
+
+@given(nonzero_polys, nonzero_polys, nonzero_polys)
+def test_gcd_divides_both(a, b, c):
+    # Over Z the gcd of a*c and b*c is primitive with a positive lead; it is
+    # divided by the primitive part of c and divides both products.
+    g = poly_gcd(a * c, b * c)
+    assert poly_divmod(a * c, g)[1].is_zero
+    assert poly_divmod(b * c, g)[1].is_zero
+    assert poly_divmod(g, poly_gcd(c, RatPoly.zero()))[1].is_zero
+    assert math.gcd(*(coeff for _, coeff in g.items())) == 1
+    assert g.leading_coefficient() > 0
+
+
+@given(polys(), period_divisors(), st.integers(min_value=0, max_value=12))
+def test_coefficients_stay_ints(p, q, n_max):
+    f = RatFn(p, q) * RatFn(q)
+    assert all(type(c) is int for c in f.series(n_max))
+    assert all(type(c) is int for c in (p * q + p).dense_coefficients())
+    assert type(p(-1)) is int
 
 
 def test_json_triples_are_decimal_free_strings():
-    p = RatPoly({0: Fraction(-7, 2), 3: 10**30})
-    assert p.to_json() == [[0, "-7", "2"], [3, str(10**30), "1"]]
+    p = RatPoly({0: -7, 3: 10**30})
+    assert p.to_json() == [[0, "-7", "1"], [3, str(10**30), "1"]]
     # canonical form flips signs so the denominator leads positively
     f = RatFn(one, one - t(2))
     assert f.to_json() == {
