@@ -11,6 +11,7 @@ from .locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
+    iter_image_basis,
     ordinary_basis,
 )
 from .ratpoly import (
@@ -60,6 +61,7 @@ __all__ = [
     "has_two_torsion",
     "image_basis",
     "image_hilbert_series",
+    "iter_image_basis",
     "kernel_poincare",
     "orbit_poincare",
     "ordinary_basis",

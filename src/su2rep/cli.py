@@ -2,11 +2,19 @@
 
 Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
-content.  Identical requests produce byte-identical output, with or without
-the on-disk cache; the cache is a pure accelerator, written atomically (temp
-file + rename) and named by a digest of the package source and a key of the
-request and the package version, so an entry written by other code never
-matches.  A store removes the entries of other source digests.
+content.  A handler returns the report as a payload: a tree of dicts and
+lists in which a large list may be a ``LazyList``, whose rows are made only
+while they are written.  One writer walks the payload and streams its text
+in chunks, so no report is held whole; on a cache miss the same JSON chunks
+also go to the cache entry's temp file.  Errors are raised before the walk
+starts, so a failed request writes nothing.
+
+Identical requests produce byte-identical output, with or without the
+on-disk cache; the cache is a pure accelerator, written atomically (temp
+file, renamed into place only once the whole JSON is written) and named by a
+digest of the package source and a key of the request and the package
+version, so an entry written by other code never matches.  A store removes
+the entries of other source digests.
 ``verify`` and ``numeric-check`` never read or write it, so their verdicts
 always come from the running code.
 
@@ -26,6 +34,7 @@ import os
 import re
 import sys
 import tempfile
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__, checks, locimage, surfaces
@@ -113,24 +122,26 @@ def _cmd_localization_image(ns) -> dict:
     payload = _base_payload("localization-image", ns)
     payload["variety"] = target.variant.value
     payload["degree_bound"] = bound
-    subsets = [[i + 1 for i in range(ns.n) if mask >> i & 1] for mask in range(1 << ns.n)]
     sectors = {}
     for sector in (Sector.PLUS, Sector.MINUS):
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
             "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
-            "basis": [
-                {
-                    "subset": subsets[mask],
-                    "c1_power": l,
-                    "degree": mask.bit_count() + 2 * l,
-                }
-                for mask, l in locimage.image_basis(spec, bound)
-            ],
+            "basis": LazyList(lambda spec=spec: _basis_rows(locimage.iter_image_basis(spec, bound), spec.n)),
         }
     payload["sectors"] = sectors
     return payload
+
+
+def _basis_rows(basis, n: int):
+    """Each (mask, c1-power) of basis as the JSON of its row, whose subset is encoded once per mask."""
+    last = None
+    for mask, l in basis:
+        if mask != last:
+            last, k = mask, mask.bit_count()
+            subset = _encode([i + 1 for i in range(n) if mask >> i & 1])
+        yield f'{{"c1_power":{l},"degree":{k + 2 * l},"subset":{subset}}}'
 
 
 def _cmd_cup_table(ns) -> dict:
@@ -303,33 +314,116 @@ def _cache_load(path: Path, base: dict):
     return None
 
 
-def _cache_store(path: Path, text: str):
-    """Write the entry atomically, then evict the entries written by other code."""
-    directory = path.parent
-    digest = path.name[:64]
-    tmp = None
+class _CacheEntry:
+    """An entry being written: a temp file beside it, committed by ``_cache_store``.
+
+    Caching is best effort only: an OSError drops the temp file, never the output.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.tmp = self.handle = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, self.tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            self.handle = os.fdopen(fd, "w")
+        except OSError:
+            self.discard()
+
+    def write(self, text: str):
+        if self.handle is not None:
+            try:
+                self.handle.write(text)
+            except OSError:
+                self.discard()
+
+    def discard(self):
+        """Close and remove the temp file, if it is still there."""
+        if self.handle is not None:
+            with contextlib.suppress(OSError):
+                self.handle.close()
+            self.handle = None
+        if self.tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self.tmp)
+            self.tmp = None
+
+
+def _cache_store(entry: _CacheEntry):
+    """Rename the written temp file into place, then evict the entries written by other code."""
+    if entry.handle is None:
+        return
+    directory = entry.path.parent
+    digest = entry.path.name[:64]
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-        tmp = None
+        entry.handle.close()
+        entry.handle = None
+        os.replace(entry.tmp, entry.path)
+        entry.tmp = None
         for other in directory.iterdir():
             if _ENTRY_NAME.fullmatch(other.name) and not other.name.startswith(digest):
                 other.unlink(missing_ok=True)
     except OSError:
-        # Caching is best effort only, but leaves no partial file behind.
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        entry.discard()
 
 
 # -- rendering ---------------------------------------------------------------
+#
+# A payload is a tree of dicts (str keys), lists, ints, strs, bools and None,
+# where a list may be a ``LazyList``.
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_BATCH = 1024  # lazy items, or CSV rows, per chunk
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+class LazyList:
+    """A list whose items are produced while the output is written, never held.
+
+    ``make()`` returns a fresh iterator over the items, each given as its
+    canonical JSON text; every walk of the payload calls it anew.  The first
+    iterator is made here, so errors raised in making it come before any output.
+    """
+
+    def __init__(self, make):
+        self._make = make
+        self._next = make()
+
+    def __iter__(self):
+        items, self._next = self._next, None
+        return items if items is not None else self._make()
+
+
+def _json_chunks(value):
+    """The text of json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces."""
+    if isinstance(value, LazyList):
+        head, items = "[", iter(value)
+        while batch := list(islice(items, _BATCH)):
+            yield head + ",".join(batch)
+            head = ","
+        yield "]" if head == "," else "[]"
+        return
+    try:
+        text = _encode(value)
+    except TypeError:  # a LazyList inside: walk down to it
+        if not isinstance(value, (dict, list, tuple)):
+            raise
+    else:
+        yield text
+        return
+    if isinstance(value, dict):
+        head = "{"
+        for key in sorted(value):
+            yield head + _encode(key) + ":"
+            yield from _json_chunks(value[key])
+            head = ","
+        yield "}" if head == "," else "{}"
+    else:
+        head = "["
+        for item in value:
+            yield head
+            yield from _json_chunks(item)
+            head = ","
+        yield "]" if head == "," else "[]"
 
 
 def _flatten(payload, prefix: str = ""):
@@ -339,6 +433,9 @@ def _flatten(payload, prefix: str = ""):
     elif isinstance(payload, list):
         for i, item in enumerate(payload):
             yield from _flatten(item, f"{prefix}/{i}")
+    elif isinstance(payload, LazyList):
+        for i, text in enumerate(payload):
+            yield from _flatten(json.loads(text), f"{prefix}/{i}")
     elif isinstance(payload, bool):
         yield prefix, "true" if payload else "false"
     elif payload is None:
@@ -349,13 +446,33 @@ def _flatten(payload, prefix: str = ""):
         yield prefix, json.dumps(payload)
 
 
-def _render_csv(payload: dict) -> str:
+def _csv_chunks(payload):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["path", "value"])
-    for path, value in _flatten(payload):
-        writer.writerow([path, value])
-    return buffer.getvalue()
+    for count, row in enumerate(_flatten(payload), 1):
+        writer.writerow(row)
+        if count % _BATCH == 0:
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+    yield buffer.getvalue()
+
+
+def _write(chunks, outs):
+    for chunk in chunks:
+        for out in outs:
+            out.write(chunk)
+
+
+def _render_json(payload, outs):
+    """Write the payload's canonical JSON and a newline to every output in outs."""
+    _write(chain(_json_chunks(payload), ["\n"]), outs)
+
+
+def _render_csv(payload, outs):
+    """Write the payload's path,value CSV rows to every output in outs."""
+    _write(_csv_chunks(payload), outs)
 
 
 def main(argv=None) -> int:
@@ -366,9 +483,9 @@ def main(argv=None) -> int:
     use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
     payload = None
     if use_cache:
-        entry = _entry_path(ns)
-        payload = _cache_load(entry, _base_payload(ns.command, ns))
-    text = None
+        path = _entry_path(ns)
+        payload = _cache_load(path, _base_payload(ns.command, ns))
+    entry = None
     if payload is None:
         try:
             payload = _HANDLERS[ns.command](ns)
@@ -376,14 +493,21 @@ def main(argv=None) -> int:
             print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
             return 1
         if use_cache:
-            text = _render_json(payload)
-            _cache_store(entry, text)
+            entry = _CacheEntry(path)
 
-    if ns.format == "csv":
-        text = _render_csv(payload)
-    elif text is None:
-        text = _render_json(payload)
-    sys.stdout.write(text)
+    # The entry holds the JSON; with --format csv it is written first, on its own.
+    try:
+        if ns.format == "csv":
+            if entry is not None:
+                _render_json(payload, [entry])
+            _render_csv(payload, [sys.stdout])
+        else:
+            _render_json(payload, [sys.stdout] if entry is None else [sys.stdout, entry])
+        if entry is not None:
+            _cache_store(entry)
+    finally:
+        if entry is not None:
+            entry.discard()
     if ns.command in {"verify", "numeric-check"} and not payload.get("passed", False):
         return 1
     return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,18 +63,16 @@ def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
     return tuple(spec.min_c1_power(k) for k in range(n + 1))
 
 
-def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large):
+def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large) -> Iterator[tuple[int, int]]:
+    # The checks run at the call; the pairs are made one at a time.
     check_enumeration_cap(n_total, allow_large)
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
-    out = []
-    for mask in range(1 << n_total):
-        k = mask.bit_count()
-        l = min_c1_of_mask(mask)
-        while k + 2 * l <= max_total_degree:
-            out.append((mask, l))
-            l += 1
-    return out
+    return (
+        (mask, l)
+        for mask in range(1 << n_total)
+        for l in range(min_c1_of_mask(mask), (max_total_degree - mask.bit_count()) // 2 + 1)
+    )
 
 
 def _mask_hilbert_series(n_total, min_c1_of_mask, allow_large) -> RatFn:
@@ -82,15 +81,23 @@ def _mask_hilbert_series(n_total, min_c1_of_mask, allow_large) -> RatFn:
     return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
 
-def image_basis(
+def iter_image_basis(
     spec: ImageSpec, max_total_degree: int, *, allow_large: bool = False
-) -> list[tuple[int, int]]:
-    """All admissible (subset mask, c1-power) pairs with total degree <= bound.
+) -> Iterator[tuple[int, int]]:
+    """All admissible (subset mask, c1-power) pairs with total degree <= bound, one at a time.
 
-    Ordered by mask (colexicographic on subsets) and then by c1-power.
+    Ordered by mask (colexicographic on subsets) and then by c1-power.  The
+    cap and bound checks raise when this is called, not at the first ``next``.
     """
     min_c1 = _min_c1_powers(spec.n, spec.variant, spec.sector)
     return _mask_basis(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()], allow_large)
+
+
+def image_basis(
+    spec: ImageSpec, max_total_degree: int, *, allow_large: bool = False
+) -> list[tuple[int, int]]:
+    """The pairs of ``iter_image_basis``, as a list."""
+    return list(iter_image_basis(spec, max_total_degree, allow_large=allow_large))
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
@@ -134,7 +141,7 @@ class CombinedImage:
         return self.left.min_c1_power(k_left) + self.right.min_c1_power(k_right)
 
     def basis(self, max_total_degree: int, *, allow_large: bool = False) -> list[tuple[int, int]]:
-        return _mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask, allow_large)
+        return list(_mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask, allow_large))
 
     def hilbert_series(self, *, allow_large: bool = False) -> RatFn:
         return _mask_hilbert_series(self.n, self.min_c1_power_of_mask, allow_large)

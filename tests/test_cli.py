@@ -5,12 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from su2rep import ConsistencyError, locimage, numeric, surfaces
-from su2rep.cli import SCHEMA_VERSION, _entry_path, _flatten, build_parser, main
+from su2rep import ConsistencyError, Sector, Variant, cli, locimage, numeric, surfaces
+from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
+from su2rep.exterior import ENUMERATION_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -299,4 +304,223 @@ def test_failed_cache_store_leaves_no_temp_file(capsys, isolated_cache, monkeypa
     monkeypatch.setattr(os, "replace", failing_replace)
     code, out = run(capsys, *argv)
     assert (code, out) == (0, expected)
+    assert list(isolated_cache.iterdir()) == []
+
+
+# -- the streaming writer --------------------------------------------------------------
+
+
+def reference_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_csv(payload) -> str:
+    """CSV rendering as it was before the writer streamed: one path,value row per leaf."""
+
+    def leaves(value, prefix):
+        if isinstance(value, dict):
+            for key in sorted(value):
+                yield from leaves(value[key], f"{prefix}/{key}" if prefix else str(key))
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from leaves(item, f"{prefix}/{i}")
+        elif isinstance(value, bool):
+            yield prefix, "true" if value else "false"
+        elif value is None:
+            yield prefix, "null"
+        elif isinstance(value, str):
+            yield prefix, value
+        else:
+            yield prefix, json.dumps(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["path", "value"])
+    writer.writerows(leaves(payload, ""))
+    return buffer.getvalue()
+
+
+def _render(render, payload) -> str:
+    buffer = io.StringIO()
+    render(payload, [buffer])
+    return buffer.getvalue()
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+_plain = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _lazy(items) -> LazyList:
+    return LazyList(lambda: (json.dumps(item, sort_keys=True, separators=(",", ":")) for item in items))
+
+
+# (payload that may hold lazy lists, the same payload with every list materialized)
+_payloads = st.recursive(
+    _scalars.map(lambda value: (value, value)),
+    lambda inner: (
+        st.lists(inner, max_size=4).map(lambda pairs: ([p for p, _ in pairs], [m for _, m in pairs]))
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(
+            lambda d: ({k: p for k, (p, _) in d.items()}, {k: m for k, (_, m) in d.items()})
+        )
+        | st.lists(_plain, max_size=5).map(lambda items: (_lazy(items), items))
+    ),
+    max_leaves=20,
+)
+
+
+@given(_payloads)
+def test_writer_matches_json_dumps_and_flat_csv(pair):
+    payload, materialized = pair
+    for batch in (2, cli._BATCH):  # several chunks per lazy list, and one
+        with mock.patch.object(cli, "_BATCH", batch):
+            assert _render(cli._render_json, payload) == reference_json(materialized)
+            assert _render(cli._render_csv, payload) == reference_csv(materialized)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("sector", list(Sector))
+def test_localization_rows_match_json_dumps(variant, sector):
+    for n in range(6):
+        spec = locimage.ImageSpec(n, variant, sector)
+        pairs = locimage.image_basis(spec, 2 * n + 6)
+        expected = [
+            json.dumps(
+                {"subset": [i + 1 for i in range(n) if mask >> i & 1], "c1_power": l, "degree": mask.bit_count() + 2 * l},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for mask, l in pairs
+        ]
+        assert list(cli._basis_rows(iter(pairs), n)) == expected
+
+
+_EVERY_COMMAND = [
+    "betti --n 2 --target plus",
+    "bigraded --n 2 --target minus",
+    "equivariant --n 2 --target generic",
+    "localization-image --n 3 --target minus",
+    "localization-image --n 5 --target minus --degree-bound 3",
+    "cup-table --n 2 --target plus",
+    "orbit --n 2 --target plus",
+    "verify --n-max 2",
+    "numeric-check --seed 0",
+]
+
+
+@pytest.mark.parametrize("line", _EVERY_COMMAND)
+def test_output_is_the_same_without_cache_on_miss_and_on_hit(capsys, isolated_cache, line):
+    argv = line.split()
+    outputs = {}
+    for fmt in ("json", "csv"):
+        shutil.rmtree(isolated_cache, ignore_errors=True)
+        no_cache = run(capsys, *argv, "--format", fmt, "--no-cache")
+        miss = run(capsys, *argv, "--format", fmt)
+        hit = run(capsys, *argv, "--format", fmt)
+        assert no_cache == miss == hit
+        assert no_cache[0] == 0
+        outputs[fmt] = no_cache[1]
+        if argv[0] not in ("verify", "numeric-check"):
+            [entry] = isolated_cache.iterdir()
+            assert entry.read_text() == outputs["json"]  # a csv miss stores the JSON too
+    assert outputs["csv"] == reference_csv(json.loads(outputs["json"]))
+
+
+class ByteCounter:
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "localization-image --n 12 --target plus --no-cache",
+        "localization-image --n 2 --target minus --degree-bound 20000 --no-cache",
+    ],
+)
+def test_localization_image_memory_does_not_grow_with_output(monkeypatch, line):
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(line.split())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.count > 1_000_000
+    assert peak < 4 * 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["localization-image", "--n", "2", "--target", "generic"],
+        ["localization-image", "--n", str(ENUMERATION_CAP + 1), "--target", "plus"],
+        ["localization-image", "--n", "2", "--target", "plus", "--degree-bound", "-1"],
+    ],
+    ids=["usage", "cap", "bound"],
+)
+def test_refused_request_writes_nothing(capsys, isolated_cache, argv):
+    assert run(capsys, *argv) == (2, "")
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_consistency_failure_writes_nothing(capsys, isolated_cache, monkeypatch, fmt):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("injected fault")
+
+    monkeypatch.setattr(locimage, "image_hilbert_series", broken)
+    assert run(capsys, "localization-image", "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_cache_store_after_the_stream_leaves_no_temp_file(capsys, isolated_cache, monkeypatch, fmt):
+    argv = ["localization-image", "--n", "6", "--target", "minus", "--format", fmt]
+    _, expected = run(capsys, *argv, "--no-cache")
+
+    def failing_replace(*args, **kwargs):
+        raise OSError("injected fault")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert run(capsys, *argv) == (0, expected)
+    assert list(isolated_cache.iterdir()) == []
+
+
+def test_failed_cache_write_mid_stream_keeps_the_output(capsys, isolated_cache, monkeypatch):
+    argv = ["localization-image", "--n", "6", "--target", "minus"]
+    _, expected = run(capsys, *argv, "--no-cache")
+    real_fdopen = os.fdopen
+
+    class FullDisk(io.TextIOWrapper):
+        written = 0
+
+        def write(self, text):
+            if self.written:  # the first chunk fits, the next one does not
+                raise OSError("no space left on device")
+            self.written = super().write(text)
+            return self.written
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, "wb")))
+    assert run(capsys, *argv) == (0, expected)
+    assert list(isolated_cache.iterdir()) == []
+
+
+def test_interrupted_stream_leaves_no_cache_file(capsys, isolated_cache, monkeypatch):
+    def failing_rows(basis, n):
+        yield from islice(real_rows(basis, n), 10)
+        raise KeyboardInterrupt
+
+    real_rows = cli._basis_rows
+    monkeypatch.setattr(cli, "_basis_rows", failing_rows)
+    with pytest.raises(KeyboardInterrupt):
+        main(["localization-image", "--n", "3", "--target", "plus"])
     assert list(isolated_cache.iterdir()) == []

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from su2rep import locimage
-from su2rep.exterior import Sector
+from su2rep.exterior import ENUMERATION_CAP, Sector
 from su2rep.locimage import (
     CombinedImage,
     ImageSpec,
@@ -16,6 +16,7 @@ from su2rep.locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
+    iter_image_basis,
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
@@ -150,6 +151,14 @@ def test_factorization_hand_case_n1():
     expected = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
     assert image_basis(spec, 6) == expected
     assert combined.basis(6) == expected
+
+
+@pytest.mark.parametrize(
+    "n, bound", [(ENUMERATION_CAP + 1, 10), (2, -1)], ids=["over-cap", "negative-bound"]
+)
+def test_iter_image_basis_checks_at_the_call(n, bound):
+    with pytest.raises(ValueError):
+        iter_image_basis(ImageSpec(n, Variant.REGULAR, Sector.PLUS), bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
