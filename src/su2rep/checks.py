@@ -9,7 +9,7 @@ means the library is internally inconsistent, never that the input was bad.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import locimage, surfaces
 from .exterior import Sector, fixed_point_poincare, weyl_invariant_series
@@ -19,11 +19,8 @@ from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 ALL_KINDS = (TargetKind.CENTRAL_PLUS, TargetKind.CENTRAL_MINUS, TargetKind.GENERIC)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -26,18 +26,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import io
 import json
 import os
 import re
 import sys
-import tempfile
 from itertools import chain, islice
 from pathlib import Path
 
-from . import __version__, checks, locimage, surfaces
+from . import __version__, surfaces
 from .exterior import ENUMERATION_CAP, Sector
 from .ratpoly import NotPolynomialError
 from .targets import ConsistencyError, SurfaceTarget, TargetKind
@@ -117,6 +114,8 @@ def _cmd_equivariant(ns) -> dict:
 
 
 def _cmd_localization_image(ns) -> dict:
+    from . import locimage
+
     target = _target(ns)
     bound = ns.degree_bound if ns.degree_bound is not None else 2 * ns.n + 6
     payload = _base_payload("localization-image", ns)
@@ -145,6 +144,8 @@ def _basis_rows(basis, n: int):
 
 
 def _cmd_cup_table(ns) -> dict:
+    from . import locimage
+
     target = _target(ns)
     payload = _base_payload("cup-table", ns)
     table = locimage.cup_table(ns.n, target.variant)
@@ -176,6 +177,8 @@ def _cmd_orbit(ns) -> dict:
 
 
 def _cmd_verify(ns) -> dict:
+    from . import checks
+
     results = checks.run_verify(ns.n_max)
     return {
         "schema": SCHEMA_VERSION,
@@ -278,6 +281,8 @@ def _cache_dir() -> Path:
 
 def _source_digest() -> str:
     """sha256 over the bytes of every su2rep/*.py file, in sorted name order."""
+    import hashlib  # only the cache path hashes
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.read_bytes())
@@ -285,6 +290,8 @@ def _source_digest() -> str:
 
 
 def _request_key(ns) -> str:
+    import hashlib
+
     fields = {
         "version": __version__,
         "command": ns.command,
@@ -321,6 +328,8 @@ class _CacheEntry:
     """
 
     def __init__(self, path: Path):
+        import tempfile  # only a cache miss writes an entry
+
         self.path = path
         self.tmp = self.handle = None
         try:
@@ -392,12 +401,18 @@ class LazyList:
         items, self._next = self._next, None
         return items if items is not None else self._make()
 
+    def batches(self):
+        """The items in lists of up to _BATCH texts."""
+        items = iter(self)
+        while batch := list(islice(items, _BATCH)):
+            yield batch
+
 
 def _json_chunks(value):
     """The text of json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces."""
     if isinstance(value, LazyList):
-        head, items = "[", iter(value)
-        while batch := list(islice(items, _BATCH)):
+        head = "["
+        for batch in value.batches():
             yield head + ",".join(batch)
             head = ","
         yield "]" if head == "," else "[]"
@@ -427,36 +442,68 @@ def _json_chunks(value):
 
 
 def _flatten(payload, prefix: str = ""):
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            yield from _flatten(payload[key], f"{prefix}/{key}" if prefix else str(key))
-    elif isinstance(payload, list):
-        for i, item in enumerate(payload):
-            yield from _flatten(item, f"{prefix}/{i}")
-    elif isinstance(payload, LazyList):
-        for i, text in enumerate(payload):
-            yield from _flatten(json.loads(text), f"{prefix}/{i}")
-    elif isinstance(payload, bool):
-        yield prefix, "true" if payload else "false"
-    elif payload is None:
-        yield prefix, "null"
-    elif isinstance(payload, str):
-        yield prefix, payload
-    else:
-        yield prefix, json.dumps(payload)
+    """(path, text) of every leaf of payload, depth first, dict keys in sorted order.
+
+    One generator walks the tree with a stack of (path head, child iterator)
+    pairs, one per open container, so a leaf is not handed up through a
+    generator per level.
+    """
+    stack = [("", iter([(prefix, payload)]))]
+    while stack:
+        head, items = stack[-1]
+        for key, value in items:
+            if type(value) is int:  # the common leaf (a bool is not exactly int)
+                yield f"{head}{key}", str(value)
+            elif type(value) is str:
+                yield f"{head}{key}", value
+            elif isinstance(value, dict):
+                path = f"{head}{key}"
+                stack.append((f"{path}/" if path else "", iter(sorted(value.items()))))
+                break
+            elif isinstance(value, list):
+                stack.append((f"{head}{key}/", enumerate(value)))
+                break
+            elif isinstance(value, LazyList):
+                rows = chain.from_iterable(json.loads(f"[{','.join(batch)}]") for batch in value.batches())
+                stack.append((f"{head}{key}/", enumerate(rows)))
+                break
+            elif isinstance(value, bool):
+                yield f"{head}{key}", "true" if value else "false"
+            elif value is None:
+                yield f"{head}{key}", "null"
+            elif isinstance(value, str):
+                yield f"{head}{key}", value
+            else:
+                yield f"{head}{key}", json.dumps(value)
+        else:
+            stack.pop()
 
 
 def _csv_chunks(payload):
+    """The path,value CSV of payload, in chunks of up to _BATCH rows.
+
+    A row whose "path,value" text holds one comma and no quote, CR or LF
+    needs no quoting, so it is written as it is; any other row goes through
+    csv.writer.
+    """
+    import csv  # only --format csv needs it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["path", "value"])
-    for count, row in enumerate(_flatten(payload), 1):
-        writer.writerow(row)
-        if count % _BATCH == 0:
-            yield buffer.getvalue()
+    lines = ["path,value\n"]
+    for path, text in _flatten(payload):
+        line = f"{path},{text}"
+        if line.count(",") == 1 and '"' not in line and "\n" not in line and "\r" not in line:
+            lines.append(line + "\n")
+        else:
+            writer.writerow((path, text))
+            lines.append(buffer.getvalue())
             buffer.seek(0)
             buffer.truncate()
-    yield buffer.getvalue()
+        if len(lines) >= _BATCH:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
 
 
 def _write(chunks, outs):

@@ -20,9 +20,8 @@ predicate test.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
@@ -30,15 +29,18 @@ from .ratpoly import RatFn, RatPoly
 from .targets import ConsistencyError, Variant
 
 
-@dataclass(frozen=True)
-class ImageSpec:
+class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
     """Per-sector localization image of one central-target variety."""
 
-    n: int
-    variant: Variant
-    sector: Sector
+    __slots__ = ()
+
+    def __new__(cls, n: int, variant: Variant, sector: Sector):
+        self = super().__new__(cls, n, variant, sector)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
+        # Called through the class at every construction, so bench/traced.py can count them.
         if self.n < 0:
             raise ValueError("n must be non-negative")
 
@@ -108,8 +110,7 @@ def image_hilbert_series(spec: ImageSpec) -> RatFn:
     return RatFn(numerator, RatPoly.one() - RatPoly.t(2))
 
 
-@dataclass(frozen=True)
-class CombinedImage:
+class CombinedImage(namedtuple("CombinedImage", "left right")):
     """Tensor over Q[c1] of two same-sector images, on concatenated generators.
 
     The fixed loci of a product glue by merging the 0th coordinates and
@@ -120,12 +121,12 @@ class CombinedImage:
     plus x plus (resp. minus x minus).
     """
 
-    left: ImageSpec
-    right: ImageSpec
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left.sector is not self.right.sector:
+    def __new__(cls, left: ImageSpec, right: ImageSpec):
+        if left.sector is not right.sector:
             raise ValueError("only like sectors combine; mixed sectors die in the quotient")
+        return super().__new__(cls, left, right)
 
     @property
     def n(self) -> int:
@@ -147,25 +148,22 @@ class CombinedImage:
         return _mask_hilbert_series(self.n, self.min_c1_power_of_mask, allow_large)
 
 
-@dataclass(frozen=True)
-class FactorizationCase:
-    variant: Variant
-    sector: Sector
-    basis_match: bool
-    series_match: bool
-    tensor_series_match: bool
-    detail: str = ""
+class FactorizationCase(
+    namedtuple(
+        "FactorizationCase", "variant sector basis_match series_match tensor_series_match detail", defaults=("",)
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.basis_match and self.series_match and self.tensor_series_match
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    n: int
-    degree_bound: int
-    cases: tuple[FactorizationCase, ...]
+class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound cases")):
+    """cases: one FactorizationCase per (variant, sector)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -230,22 +228,19 @@ def factorization_check(
     return FactorizationReport(n, bound, tuple(cases))
 
 
-@dataclass(frozen=True)
-class OrdClass:
+class OrdClass(namedtuple("OrdClass", "n variant sector mask")):
     """Basis class of ordinary cohomology: a sector and a generator subset.
 
     The class is represented by the admissible image element with the least
     c1-power over its subset; its cohomological degree is k + 2*l_min.
     """
 
-    n: int
-    variant: Variant
-    sector: Sector
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
+    def __new__(cls, n: int, variant: Variant, sector: Sector, mask: int):
+        if not 0 <= mask < (1 << n):
             raise ValueError("subset mask uses generators beyond n")
+        return super().__new__(cls, n, variant, sector, mask)
 
     @property
     def k(self) -> int:

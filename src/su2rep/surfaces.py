@@ -22,8 +22,7 @@ facts are reported as metadata flags by the CLI rather than computed rings.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .exterior import fixed_point_poincare
@@ -93,23 +92,18 @@ def specialize_total_degree(bigraded: dict[tuple[int, int], int]) -> RatPoly:
     return RatPoly(counts)
 
 
-@dataclass(frozen=True)
-class RecursionStep:
-    k: int
-    regular_ok: bool
-    pair_ok: bool
-    singular_ok: bool
-    dimension_ok: bool
+class RecursionStep(namedtuple("RecursionStep", "k regular_ok pair_ok singular_ok dimension_ok")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.regular_ok and self.pair_ok and self.singular_ok and self.dimension_ok
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    n_max: int
-    steps: tuple[RecursionStep, ...]
+class RecursionReport(namedtuple("RecursionReport", "n_max steps")):
+    """steps: one RecursionStep per k = 1..n_max."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -163,10 +157,8 @@ def recursion_verify(n_max: int) -> RecursionReport:
     return RecursionReport(n_max, tuple(steps))
 
 
-@dataclass(frozen=True)
-class EquivariantSeries:
-    g_series: RatFn
-    t_series: RatFn
+# The RatFn series over the full group (g_series) and over the torus (t_series).
+EquivariantSeries = namedtuple("EquivariantSeries", "g_series t_series")
 
 
 def equivariant_poincare(target: SurfaceTarget) -> EquivariantSeries:

@@ -14,7 +14,7 @@ is centralized here so it is written (and unit tested) exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -35,16 +35,17 @@ class Variant(Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class SurfaceTarget:
-    kind: TargetKind
-    n: int
+class SurfaceTarget(namedtuple("SurfaceTarget", "kind n")):
+    """An immutable, hashable (kind, n) pair, validated at construction."""
 
-    def __post_init__(self):
-        if not isinstance(self.kind, TargetKind):
+    __slots__ = ()
+
+    def __new__(cls, kind: TargetKind, n: int):
+        if not isinstance(kind, TargetKind):
             raise TypeError("kind must be a TargetKind")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(n, int) or n < 0:
             raise ValueError("cross-cap count n must be a non-negative integer")
+        return super().__new__(cls, kind, n)
 
     @property
     def is_central(self) -> bool:

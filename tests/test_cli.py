@@ -138,6 +138,49 @@ def test_non_numeric_commands_leave_numpy_unimported(tmp_path):
     assert result.stderr.strip() == "False"
 
 
+# The modules a request loads beyond those of a bare interpreter; run in a fresh process.
+_LOADED_BY = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import su2rep.cli\n"
+    "rc = su2rep.cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+_SERIES_UNNEEDED = {"su2rep.locimage", "su2rep.checks", "su2rep.numeric", "numpy", "dataclasses", "hashlib"}
+
+
+def _loaded_by(cache_dir, line):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(cache_dir)}
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *line.split()], capture_output=True, env=env, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, set(json.loads(result.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("command", ["betti", "orbit", "bigraded", "equivariant"])
+def test_series_commands_load_only_what_they_compute_with(tmp_path, command):
+    _, loaded = _loaded_by(tmp_path, f"{command} --n 2 --target plus --no-cache")
+    assert "su2rep.surfaces" in loaded
+    assert not loaded & _SERIES_UNNEEDED
+
+
+def test_cup_table_cache_hit_loads_no_locimage(tmp_path):
+    line = "cup-table --n 2 --target plus"
+    miss, loaded_on_miss = _loaded_by(tmp_path, line)
+    hit, loaded_on_hit = _loaded_by(tmp_path, line)
+    assert hit == miss
+    assert "su2rep.locimage" in loaded_on_miss
+    assert not loaded_on_hit & {"su2rep.locimage", "su2rep.checks", "numpy", "dataclasses"}
+
+
+def test_verify_loads_no_numpy(tmp_path):
+    _, loaded = _loaded_by(tmp_path, "verify --n-max 2")
+    assert "su2rep.checks" in loaded
+    assert not loaded & {"su2rep.numeric", "numpy", "dataclasses"}
+
+
 def test_numeric_check_exits_zero(capsys):
     code, out = run(capsys, "numeric-check", "--seed", "0")
     assert code == 0
@@ -379,6 +422,17 @@ def test_writer_matches_json_dumps_and_flat_csv(pair):
         with mock.patch.object(cli, "_BATCH", batch):
             assert _render(cli._render_json, payload) == reference_json(materialized)
             assert _render(cli._render_csv, payload) == reference_csv(materialized)
+
+
+def test_csv_rows_that_need_quoting_match_csv_writer():
+    texts = ["a,b", 'say "x"', "line\nbreak", "cr\rhere", "", " pad ", ",", '"']
+    payload = {
+        "keys": {text: text for text in texts},
+        "list": texts + [10**40, -3, True, None, 1.5],
+        "lazy": _lazy([{"k,ey": text} for text in texts]),
+    }
+    materialized = {**payload, "lazy": [{"k,ey": text} for text in texts]}
+    assert _render(cli._render_csv, payload) == reference_csv(materialized)
 
 
 @pytest.mark.parametrize("variant", list(Variant))

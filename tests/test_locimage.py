@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -141,6 +142,36 @@ def test_mixed_sector_combination_is_rejected():
         CombinedImage(
             ImageSpec(1, Variant.REGULAR, Sector.PLUS), ImageSpec(1, Variant.REGULAR, Sector.MINUS)
         )
+
+
+def test_image_spec_rejects_negative_n_and_is_immutable():
+    with pytest.raises(ValueError):
+        ImageSpec(-1, Variant.REGULAR, Sector.PLUS)
+    spec = ImageSpec(2, Variant.REGULAR, Sector.PLUS)
+    with pytest.raises(AttributeError):
+        spec.n = 3
+
+
+def test_equal_image_specs_share_lru_cache_entries():
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def keyed(spec):
+        calls.append(spec)
+        return spec.min_c1_power(spec.n)
+
+    first = ImageSpec(3, Variant.SINGULAR, Sector.MINUS)
+    second = ImageSpec(3, Variant.SINGULAR, Sector.MINUS)
+    assert first == second and hash(first) == hash(second)
+    assert keyed(first) == keyed(second) == 1
+    assert calls == [first]
+    assert keyed(ImageSpec(3, Variant.REGULAR, Sector.MINUS)) == 0
+
+    locimage._min_c1_powers.cache_clear()
+    list(iter_image_basis(first, 8))
+    list(iter_image_basis(second, 8))
+    info = locimage._min_c1_powers.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_factorization_hand_case_n1():

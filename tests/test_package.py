@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import su2rep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -12,6 +14,27 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves():
     for name in su2rep.__all__:
         assert getattr(su2rep, name) is not None, name
+
+
+def test_namespace_is_lazy():
+    # In a fresh process: nothing is loaded until a name is used, and dir and * see every name.
+    code = (
+        "import sys, su2rep\n"
+        "print(sorted(m for m in sys.modules if m.startswith('su2rep.')))\n"
+        "print(set(su2rep.__all__) <= set(dir(su2rep)))\n"
+        "namespace = {}\n"
+        "exec('from su2rep import *', namespace)\n"
+        "print(all(namespace[name] is getattr(su2rep, name) for name in su2rep.__all__))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True)
+    assert result.stdout.split("\n") == ["[]", "True", "True", ""]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(su2rep, "no_such_name")
+    assert not hasattr(su2rep, "no_such_name")
 
 
 def _run_traced(tmp_path, argv):

@@ -51,6 +51,37 @@ def test_target_validation():
         SurfaceTarget.regular(-1)
 
 
+@pytest.mark.parametrize("kind", ["plus", None, 0])
+def test_target_rejects_a_kind_that_is_not_a_target_kind(kind):
+    with pytest.raises(TypeError):
+        SurfaceTarget(kind, 1)
+
+
+@pytest.mark.parametrize("n", [-1, 1.0, "1", None])
+def test_target_rejects_a_negative_or_non_int_n(n):
+    with pytest.raises(ValueError):
+        SurfaceTarget(TargetKind.CENTRAL_PLUS, n)
+
+
+def test_target_is_immutable():
+    target = SurfaceTarget(TargetKind.CENTRAL_PLUS, 2)
+    for name in ("n", "kind", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(target, name, 3)
+    assert target == SurfaceTarget(TargetKind.CENTRAL_PLUS, 2)
+
+
+def test_equal_targets_are_equal_and_hash_alike():
+    first = SurfaceTarget(TargetKind.CENTRAL_MINUS, 3)
+    second = SurfaceTarget.central_minus(3)
+    assert first == second and hash(first) == hash(second)
+    assert first != SurfaceTarget(TargetKind.CENTRAL_PLUS, 3)
+    assert first != SurfaceTarget(TargetKind.CENTRAL_MINUS, 4)
+    assert {first: "x"}[second] == "x"
+    assert SurfaceTarget(kind=TargetKind.GENERIC, n=0) == SurfaceTarget.generic(0)
+    assert repr(first) == "SurfaceTarget(kind=<TargetKind.CENTRAL_MINUS: 'minus'>, n=3)"
+
+
 # -- Poincare polynomials ------------------------------------------------------------
 
 
