@@ -4,17 +4,19 @@ Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  A handler returns the report as a payload: a tree of dicts and
 lists in which a large list may be a ``LazyList``, whose rows are made only
-while they are written.  One writer walks the payload and streams its text
-in chunks, so no report is held whole; on a cache miss the same JSON chunks
-also go to the cache entry's temp file.  Errors are raised before the walk
-starts, so a failed request writes nothing.
+while they are written.  One writer walks the payload once and streams its
+text in chunks, so no report is held whole.  Errors are raised before the
+walk starts, so a failed request writes nothing.
 
 Identical requests produce byte-identical output, with or without the
-on-disk cache; the cache is a pure accelerator, written atomically (temp
-file, renamed into place only once the whole JSON is written) and named by a
-digest of the package source and a key of the request and the package
-version, so an entry written by other code never matches.  A store removes
-the entries of other source digests.
+on-disk cache, a pure accelerator.  An entry holds the bytes stdout got,
+then one line with its request key: on a miss the writer's chunks also go
+to a temp file, renamed into place once that line ends it, and a hit checks
+the line and copies the response to stdout in chunks, decoding no JSON and
+computing nothing.  An entry is named by a digest of the package source and
+a key of the request (format included) and the package version, so an entry
+written by other code never matches; a store removes the entries of other
+source digests.
 ``verify`` and ``numeric-check`` never read or write it, so their verdicts
 always come from the running code.
 
@@ -25,6 +27,7 @@ which means a bug, never bad input), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import io
 import json
@@ -34,9 +37,7 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 
-from . import __version__, surfaces
-from .exterior import ENUMERATION_CAP, Sector
-from .ratpoly import NotPolynomialError
+from . import __version__
 from .targets import ConsistencyError, SurfaceTarget, TargetKind
 
 SCHEMA_VERSION = 1
@@ -64,6 +65,8 @@ def _target(ns) -> SurfaceTarget:
 
 
 def _cmd_betti(ns) -> dict:
+    from . import surfaces
+
     target = _target(ns)
     plus, minus = surfaces.poincare_sectors(target)
     payload = _base_payload("betti", ns)
@@ -82,6 +85,8 @@ def _cmd_betti(ns) -> dict:
 
 
 def _cmd_bigraded(ns) -> dict:
+    from . import surfaces
+
     target = _target(ns)
     bigraded = surfaces.bigraded_poincare(target)
     payload = _base_payload("bigraded", ns)
@@ -97,6 +102,8 @@ def _cmd_bigraded(ns) -> dict:
 
 
 def _cmd_equivariant(ns) -> dict:
+    from . import surfaces
+
     target = _target(ns)
     series = surfaces.equivariant_poincare(target)
     payload = _base_payload("equivariant", ns)
@@ -115,6 +122,7 @@ def _cmd_equivariant(ns) -> dict:
 
 def _cmd_localization_image(ns) -> dict:
     from . import locimage
+    from .exterior import Sector
 
     target = _target(ns)
     bound = ns.degree_bound if ns.degree_bound is not None else 2 * ns.n + 6
@@ -127,7 +135,7 @@ def _cmd_localization_image(ns) -> dict:
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
             "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
-            "basis": LazyList(lambda spec=spec: _basis_rows(locimage.iter_image_basis(spec, bound), spec.n)),
+            "basis": LazyList(_basis_rows(locimage.iter_image_basis(spec, bound), spec.n)),
         }
     payload["sectors"] = sectors
     return payload
@@ -161,6 +169,8 @@ def _cmd_cup_table(ns) -> dict:
 
 
 def _cmd_orbit(ns) -> dict:
+    from . import surfaces
+
     target = _target(ns)
     payload = _base_payload("orbit", ns)
     payload.update(
@@ -181,8 +191,7 @@ def _cmd_verify(ns) -> dict:
 
     results = checks.run_verify(ns.n_max)
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
+        **_base_payload("verify", ns),
         "n_max": ns.n_max,
         "checks": [r.to_json() for r in results],
         "passed": all(r.passed for r in results),
@@ -194,8 +203,7 @@ def _cmd_numeric_check(ns) -> dict:
 
     rows = numeric.numeric_check_suite(seed=ns.seed)
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "numeric-check",
+        **_base_payload("numeric-check", ns),
         "seed": ns.seed,
         "checks": rows,
         "passed": all(row["pass"] for row in rows),
@@ -257,8 +265,11 @@ def _validate(ns):
     if getattr(ns, "n", None) is not None:
         if ns.n < 0:
             error("--n must be non-negative")
-        if ns.command in {"localization-image", "cup-table"} and ns.n > ENUMERATION_CAP:
-            error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
+        if ns.command in {"localization-image", "cup-table"}:
+            from .exterior import ENUMERATION_CAP
+
+            if ns.n > ENUMERATION_CAP:
+                error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
     if getattr(ns, "degree_bound", None) is not None and ns.degree_bound < 0:
         error("--degree-bound must be non-negative")
     if getattr(ns, "n_max", None) is not None and ns.n_max < 1:
@@ -295,6 +306,7 @@ def _request_key(ns) -> str:
     fields = {
         "version": __version__,
         "command": ns.command,
+        "format": ns.format,
         "n": getattr(ns, "n", None),
         "target": getattr(ns, "target", None),
         "degree_bound": getattr(ns, "degree_bound", None),
@@ -310,15 +322,30 @@ def _entry_path(ns) -> Path:
     return _cache_dir() / f"{_source_digest()}-{_request_key(ns)}.json"
 
 
-def _cache_load(path: Path, base: dict):
-    """The cached payload, or None unless it is a dict holding every field of base."""
+def _cache_load(path: Path):
+    """(the open entry, the byte length of its response), or None unless the entry ends with its key line."""
+    tail = f"\n{path.stem[65:]}\n".encode()  # the response's last newline, then the request key
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
+        handle = open(path)  # text, so handle.encoding is the one the entry was written in
+    except OSError:
         return None
-    if isinstance(payload, dict) and base.items() <= payload.items():
-        return payload
+    with contextlib.suppress(OSError):  # also raised by an entry shorter than the tail
+        length = handle.buffer.seek(-len(tail), os.SEEK_END) + 1
+        if handle.buffer.read() == tail:
+            handle.buffer.seek(0)
+            return handle, length
+    handle.close()
     return None
+
+
+def _copy(hit):
+    """Write the response of a loaded entry to stdout, _COPY bytes at a time."""
+    handle, length = hit
+    decode = codecs.getincrementaldecoder(handle.encoding)().decode
+    with handle:
+        while chunk := handle.buffer.read(min(length, _COPY)):
+            length -= len(chunk)
+            sys.stdout.write(decode(chunk))
 
 
 class _CacheEntry:
@@ -359,7 +386,8 @@ class _CacheEntry:
 
 
 def _cache_store(entry: _CacheEntry):
-    """Rename the written temp file into place, then evict the entries written by other code."""
+    """End the temp file with the key line, rename it into place, then evict the entries written by other code."""
+    entry.write(entry.path.stem[65:] + "\n")
     if entry.handle is None:
         return
     directory = entry.path.parent
@@ -383,27 +411,18 @@ def _cache_store(entry: _CacheEntry):
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BATCH = 1024  # lazy items, or CSV rows, per chunk
+_COPY = 1 << 16  # bytes per chunk of a cache hit
 
 
 class LazyList:
-    """A list whose items are produced while the output is written, never held.
+    """A list whose items, each given as its canonical JSON text, are produced while the output is written."""
 
-    ``make()`` returns a fresh iterator over the items, each given as its
-    canonical JSON text; every walk of the payload calls it anew.  The first
-    iterator is made here, so errors raised in making it come before any output.
-    """
-
-    def __init__(self, make):
-        self._make = make
-        self._next = make()
-
-    def __iter__(self):
-        items, self._next = self._next, None
-        return items if items is not None else self._make()
+    def __init__(self, items):
+        self._items = items
 
     def batches(self):
         """The items in lists of up to _BATCH texts."""
-        items = iter(self)
+        items = iter(self._items)
         while batch := list(islice(items, _BATCH)):
             yield batch
 
@@ -528,28 +547,22 @@ def main(argv=None) -> int:
     _validate(ns)
 
     use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
-    payload = None
     if use_cache:
         path = _entry_path(ns)
-        payload = _cache_load(path, _base_payload(ns.command, ns))
-    entry = None
-    if payload is None:
-        try:
-            payload = _HANDLERS[ns.command](ns)
-        except (ConsistencyError, NotPolynomialError) as exc:
-            print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
-            return 1
-        if use_cache:
-            entry = _CacheEntry(path)
-
-    # The entry holds the JSON; with --format csv it is written first, on its own.
+        hit = _cache_load(path)
+        if hit is not None:
+            _copy(hit)
+            return 0
     try:
-        if ns.format == "csv":
-            if entry is not None:
-                _render_json(payload, [entry])
-            _render_csv(payload, [sys.stdout])
-        else:
-            _render_json(payload, [sys.stdout] if entry is None else [sys.stdout, entry])
+        payload = _HANDLERS[ns.command](ns)
+    except ConsistencyError as exc:
+        print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
+        return 1
+    entry = _CacheEntry(path) if use_cache else None
+
+    render = _render_csv if ns.format == "csv" else _render_json
+    try:
+        render(payload, [sys.stdout] if entry is None else [sys.stdout, entry])
         if entry is not None:
             _cache_store(entry)
     finally:

@@ -25,22 +25,13 @@ from enum import Enum
 from .ratpoly import RatFn, RatPoly
 from .targets import ConsistencyError, TargetKind
 
-#: Enumerations over all 2**n exterior monomials refuse to run past this
-#: size unless explicitly overridden.
+#: Enumerations over all 2**n exterior monomials refuse to run past this size.
 ENUMERATION_CAP = 16
 
-#: Hard limit imposed by the bitmask encoding.
-MAX_GENERATORS = 63
 
-
-def check_enumeration_cap(n: int, allow_large: bool = False):
-    if n > MAX_GENERATORS:
-        raise ValueError(f"at most {MAX_GENERATORS} exterior generators are supported")
-    if n > ENUMERATION_CAP and not allow_large:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
-            "pass allow_large=True to force a 2**n-sized enumeration"
-        )
+def check_enumeration_cap(n: int):
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
 
 
 class Sector(Enum):
@@ -75,9 +66,7 @@ def fixed_point_poincare(n: int) -> RatPoly:
     return 2 * (RatPoly.one() + RatPoly.t()) ** n
 
 
-def weyl_invariant_series(
-    n: int, kind: TargetKind, n_max: int = 40, *, allow_large: bool = False
-) -> RatFn:
+def weyl_invariant_series(n: int, kind: TargetKind, n_max: int = 40) -> RatFn:
     """Hilbert series of the Weyl invariants of the equivariant fixed locus.
 
     Computed by direct character counting on the monomial basis a_S * c1**l:
@@ -96,7 +85,7 @@ def weyl_invariant_series(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    check_enumeration_cap(n, allow_large)
+    check_enumeration_cap(n)
     numerator: Counter[int] = Counter()
     if kind is TargetKind.CENTRAL_PLUS:
         for mask in range(1 << n):

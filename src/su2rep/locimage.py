@@ -65,9 +65,9 @@ def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
     return tuple(spec.min_c1_power(k) for k in range(n + 1))
 
 
-def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large) -> Iterator[tuple[int, int]]:
+def _mask_basis(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int, int]]:
     # The checks run at the call; the pairs are made one at a time.
-    check_enumeration_cap(n_total, allow_large)
+    check_enumeration_cap(n_total)
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
     return (
@@ -77,29 +77,25 @@ def _mask_basis(n_total, max_total_degree, min_c1_of_mask, allow_large) -> Itera
     )
 
 
-def _mask_hilbert_series(n_total, min_c1_of_mask, allow_large) -> RatFn:
-    check_enumeration_cap(n_total, allow_large)
+def _mask_hilbert_series(n_total, min_c1_of_mask) -> RatFn:
+    check_enumeration_cap(n_total)
     degrees = Counter(mask.bit_count() + 2 * min_c1_of_mask(mask) for mask in range(1 << n_total))
     return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
 
-def iter_image_basis(
-    spec: ImageSpec, max_total_degree: int, *, allow_large: bool = False
-) -> Iterator[tuple[int, int]]:
+def iter_image_basis(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[int, int]]:
     """All admissible (subset mask, c1-power) pairs with total degree <= bound, one at a time.
 
     Ordered by mask (colexicographic on subsets) and then by c1-power.  The
     cap and bound checks raise when this is called, not at the first ``next``.
     """
     min_c1 = _min_c1_powers(spec.n, spec.variant, spec.sector)
-    return _mask_basis(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()], allow_large)
+    return _mask_basis(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()])
 
 
-def image_basis(
-    spec: ImageSpec, max_total_degree: int, *, allow_large: bool = False
-) -> list[tuple[int, int]]:
+def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]:
     """The pairs of ``iter_image_basis``, as a list."""
-    return list(iter_image_basis(spec, max_total_degree, allow_large=allow_large))
+    return list(iter_image_basis(spec, max_total_degree))
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
@@ -141,11 +137,11 @@ class CombinedImage(namedtuple("CombinedImage", "left right")):
         k_right = (mask >> self.left.n).bit_count()
         return self.left.min_c1_power(k_left) + self.right.min_c1_power(k_right)
 
-    def basis(self, max_total_degree: int, *, allow_large: bool = False) -> list[tuple[int, int]]:
-        return list(_mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask, allow_large))
+    def basis(self, max_total_degree: int) -> list[tuple[int, int]]:
+        return list(_mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask))
 
-    def hilbert_series(self, *, allow_large: bool = False) -> RatFn:
-        return _mask_hilbert_series(self.n, self.min_c1_power_of_mask, allow_large)
+    def hilbert_series(self) -> RatFn:
+        return _mask_hilbert_series(self.n, self.min_c1_power_of_mask)
 
 
 class FactorizationCase(
@@ -177,9 +173,7 @@ class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound case
         return None
 
 
-def factorization_check(
-    n: int, degree_bound: int | None = None, *, allow_large: bool = False
-) -> FactorizationReport:
+def factorization_check(n: int, degree_bound: int | None = None) -> FactorizationReport:
     """Compare direct localization images against their product factorizations.
 
     The regular image on n+1 tuple slots must match (regular on n slots)
@@ -205,11 +199,11 @@ def factorization_check(
                     ImageSpec(n, Variant.REGULAR, sector),
                     ImageSpec(0, Variant.SINGULAR, sector),
                 )
-            direct_basis = image_basis(direct, bound, allow_large=allow_large)
-            combined_basis = combined.basis(bound, allow_large=allow_large)
+            direct_basis = image_basis(direct, bound)
+            combined_basis = combined.basis(bound)
             basis_match = direct_basis == combined_basis
             direct_series = image_hilbert_series(direct)
-            series_match = direct_series == combined.hilbert_series(allow_large=allow_large)
+            series_match = direct_series == combined.hilbert_series()
             # (1 - t^2) goes into the right factor first so that every partial
             # product keeps a denominator dividing 1 - t^4.
             tensor_series = image_hilbert_series(combined.left) * (
@@ -271,9 +265,9 @@ class OrdClass(namedtuple("OrdClass", "n variant sector mask")):
         }
 
 
-def ordinary_basis(n: int, variant: Variant, *, allow_large: bool = False) -> list[OrdClass]:
+def ordinary_basis(n: int, variant: Variant) -> list[OrdClass]:
     """The 2**(n+1) canonical basis classes: all plus subsets, then all minus."""
-    check_enumeration_cap(n, allow_large)
+    check_enumeration_cap(n)
     out = [OrdClass(n, variant, Sector.PLUS, mask) for mask in range(1 << n)]
     out += [OrdClass(n, variant, Sector.MINUS, mask) for mask in range(1 << n)]
     return out
@@ -300,7 +294,7 @@ def cup_product(c1: OrdClass, c2: OrdClass) -> tuple[int, OrdClass] | None:
     return koszul_sign(c1.mask, c2.mask), result
 
 
-def cup_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict:
+def cup_table(n: int, variant: Variant) -> dict:
     """Full multiplication table over the canonical basis, JSON-ready.
 
     Entries are (i, j, k, coeff) with basis indices into ``basis`` and only
@@ -309,7 +303,7 @@ def cup_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict:
     the right factors are the submasks of its complement, in each sector;
     the test applied to each is the one in ``cup_product``.
     """
-    basis = ordinary_basis(n, variant, allow_large=allow_large)
+    basis = ordinary_basis(n, variant)
     min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
     offset = {Sector.PLUS: 0, Sector.MINUS: 1 << n}
     full = (1 << n) - 1
@@ -341,9 +335,9 @@ def cup_table(n: int, variant: Variant, *, allow_large: bool = False) -> dict:
     }
 
 
-def minus_pairing_matrix(n: int, *, allow_large: bool = False) -> list[list[int]]:
+def minus_pairing_matrix(n: int) -> list[list[int]]:
     """Pairing of minus-sector classes of the regular variety into top degree 3n."""
-    check_enumeration_cap(n, allow_large)
+    check_enumeration_cap(n)
     top = OrdClass(n, Variant.REGULAR, Sector.PLUS, (1 << n) - 1)
     size = 1 << n
     matrix = []
@@ -391,6 +385,6 @@ def matrix_rank_exact(matrix: list[list[int]]) -> int:
     return rank
 
 
-def bigraded_generating_function(n: int, variant: Variant, *, allow_large: bool = False) -> dict[tuple[int, int], int]:
+def bigraded_generating_function(n: int, variant: Variant) -> dict[tuple[int, int], int]:
     """Canonical basis classes counted by bidegree (k, 2l), as a dict with no zero entries."""
-    return dict(Counter(cls.bidegree for cls in ordinary_basis(n, variant, allow_large=allow_large)))
+    return dict(Counter(cls.bidegree for cls in ordinary_basis(n, variant)))

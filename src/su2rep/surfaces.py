@@ -26,7 +26,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .exterior import fixed_point_poincare
-from .ratpoly import RatFn, RatPoly, poly_reciprocal
+from .ratpoly import NotPolynomialError, RatFn, RatPoly, poly_reciprocal
 from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
@@ -286,7 +286,10 @@ def orbit_poincare(target: SurfaceTarget) -> RatPoly:
         raise ConsistencyError(
             f"orbit-space routes disagree for {target}: {direct} vs {assembled}"
         )
-    polynomial = direct.to_polynomial()
+    try:
+        polynomial = direct.to_polynomial()
+    except NotPolynomialError as exc:
+        raise ConsistencyError(f"orbit-space series for {target} is not a polynomial: {direct}") from exc
     for exponent, coeff in polynomial.items():
         if coeff < 0:
             raise ConsistencyError(

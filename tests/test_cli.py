@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from su2rep import ConsistencyError, Sector, Variant, cli, locimage, numeric, surfaces
+from su2rep import ConsistencyError, RatFn, RatPoly, Sector, Variant, cli, locimage, numeric, surfaces
 from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
 from su2rep.exterior import ENUMERATION_CAP
 
@@ -24,6 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("SU2REP_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path / "cache"
+
+
+def whole_entry(path: Path, out: str) -> str:
+    """What a whole entry at path holds: the response, then a line with the request key from its name."""
+    return out + path.name[65 : -len(".json")] + "\n"
 
 
 def run(capsys, *argv):
@@ -175,6 +181,21 @@ def test_cup_table_cache_hit_loads_no_locimage(tmp_path):
     assert not loaded_on_hit & {"su2rep.locimage", "su2rep.checks", "numpy", "dataclasses"}
 
 
+def test_cache_hit_loads_no_computing_module(tmp_path):
+    line = "betti --n 2 --target plus"
+    miss, loaded_on_miss = _loaded_by(tmp_path, line)
+    hit, loaded_on_hit = _loaded_by(tmp_path, line)
+    assert hit == miss
+    assert "su2rep.surfaces" in loaded_on_miss
+    assert not loaded_on_hit & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly", "su2rep.locimage"}
+
+
+def test_numeric_check_loads_no_exact_module(tmp_path):
+    _, loaded = _loaded_by(tmp_path, "numeric-check --seed 0")
+    assert "su2rep.numeric" in loaded
+    assert not loaded & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly"}
+
+
 def test_verify_loads_no_numpy(tmp_path):
     _, loaded = _loaded_by(tmp_path, "verify --n-max 2")
     assert "su2rep.checks" in loaded
@@ -255,7 +276,7 @@ def test_damaged_cache_entry_is_recomputed(capsys, isolated_cache, entry):
     isolated_cache.mkdir(parents=True)
     planted.write_text(json.dumps(entry))
     assert run(capsys, *argv) == (0, expected)
-    assert planted.read_text() == expected  # the damaged entry is overwritten
+    assert planted.read_text() == whole_entry(planted, expected)  # the damaged entry is overwritten
 
 
 def test_cache_entry_from_other_code_is_not_served(tmp_path):
@@ -270,13 +291,13 @@ def test_cache_entry_from_other_code_is_not_served(tmp_path):
     expected = stdout("--no-cache")
     assert stdout() == expected  # stores the entry
     [entry] = (tmp_path / "cache").iterdir()
-    planted = {"schema": SCHEMA_VERSION, "command": "betti", "n": 1, "target": "plus", "poincare": [7]}
-    entry.write_text(json.dumps(planted))
+    planted = json.dumps({"schema": SCHEMA_VERSION, "command": "betti", "n": 1, "target": "plus", "poincare": [7]}) + "\n"
+    entry.write_text(whole_entry(entry, planted))
     unrelated = tmp_path / "cache" / "notes.json"
     unrelated.write_text("{}")
     flat_entry = tmp_path / "cache" / f"{'0' * 64}.json"  # named as entries were before the digest prefix
     flat_entry.write_text("{}")
-    assert stdout() != expected  # the same code serves its own entry
+    assert stdout() == planted.encode() != expected  # the same code serves its own entry
     with open(package / "surfaces.py", "a") as handle:
         handle.write("# edited\n")
     assert stdout() == expected
@@ -284,6 +305,55 @@ def test_cache_entry_from_other_code_is_not_served(tmp_path):
     [stored] = set((tmp_path / "cache").iterdir()) - {unrelated}
     assert stored.name[:64] != entry.name[:64]
     assert not entry.exists() and not flat_entry.exists() and unrelated.exists()
+
+
+def _cut_mid_row(text):
+    return text[: len(text) // 2 + 3]
+
+
+def _cut_at_row_boundary(text):
+    return text[: text.index("\n", len(text) // 2) + 1]
+
+
+@pytest.mark.parametrize(
+    "fmt, cut",
+    [("json", _cut_mid_row), ("csv", _cut_mid_row), ("csv", _cut_at_row_boundary)],
+    ids=["json-mid-row", "csv-mid-row", "csv-row-boundary"],
+)
+def test_truncated_cache_entry_is_recomputed(capsys, isolated_cache, fmt, cut):
+    argv = ["localization-image", "--n", "3", "--target", "minus", "--format", fmt]
+    _, expected = run(capsys, *argv)
+    [entry] = isolated_cache.iterdir()
+    assert entry.read_text() == whole_entry(entry, expected)
+    truncated = cut(expected)
+    assert 0 < len(truncated) < len(expected)
+    assert truncated.endswith("\n") == (cut is _cut_at_row_boundary)
+    entry.write_text(truncated)
+    assert run(capsys, *argv) == (0, expected)
+    assert entry.read_text() == whole_entry(entry, expected)  # overwritten
+
+
+def test_entry_of_another_request_is_recomputed(capsys, isolated_cache):
+    _, other = run(capsys, "betti", "--n", "2", "--target", "plus")
+    [other_entry] = isolated_cache.iterdir()
+    argv = ["betti", "--n", "3", "--target", "plus"]
+    _, expected = run(capsys, *argv, "--no-cache")
+    entry = _entry_path(build_parser().parse_args(argv))
+    shutil.copy(other_entry, entry)
+    assert run(capsys, *argv) == (0, expected) != (0, other)
+    assert entry.read_text() == whole_entry(entry, expected)
+
+
+def test_each_format_has_its_own_entry(capsys, isolated_cache):
+    argv = ["cup-table", "--n", "2", "--target", "minus"]
+    misses = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("json", "csv")}
+    assert len(list(isolated_cache.iterdir())) == 2
+    for fmt, miss in misses.items():
+        entry = _entry_path(build_parser().parse_args([*argv, "--format", fmt]))
+        assert entry.read_text() == whole_entry(entry, miss[1])
+        assert run(capsys, *argv, "--format", fmt) == miss
+        assert miss[0] == 0
+    assert misses["json"][1] != misses["csv"][1]
 
 
 def test_series_outputs_match_golden(capsys):
@@ -398,7 +468,7 @@ _plain = st.recursive(
 
 
 def _lazy(items) -> LazyList:
-    return LazyList(lambda: (json.dumps(item, sort_keys=True, separators=(",", ":")) for item in items))
+    return LazyList(tuple(json.dumps(item, sort_keys=True, separators=(",", ":")) for item in items))
 
 
 # (payload that may hold lazy lists, the same payload with every list materialized)
@@ -479,7 +549,7 @@ def test_output_is_the_same_without_cache_on_miss_and_on_hit(capsys, isolated_ca
         outputs[fmt] = no_cache[1]
         if argv[0] not in ("verify", "numeric-check"):
             [entry] = isolated_cache.iterdir()
-            assert entry.read_text() == outputs["json"]  # a csv miss stores the JSON too
+            assert entry.read_text() == whole_entry(entry, outputs[fmt])  # the entry is this format's stdout
     assert outputs["csv"] == reference_csv(json.loads(outputs["json"]))
 
 
@@ -512,6 +582,32 @@ def test_localization_image_memory_does_not_grow_with_output(monkeypatch, line):
     assert peak < 4 * 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
 
 
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+def test_localization_image_cache_hit_memory_does_not_grow_with_output(monkeypatch):
+    argv = ["localization-image", "--n", "12", "--target", "plus"]
+    miss = Digest()
+    monkeypatch.setattr(sys, "stdout", miss)
+    assert main(argv) == 0
+    hit = Digest()
+    monkeypatch.setattr(sys, "stdout", hit)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert hit.sha.digest() == miss.sha.digest()
+    assert peak < 4 * 2**20, f"peak {peak} bytes"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -533,6 +629,14 @@ def test_consistency_failure_writes_nothing(capsys, isolated_cache, monkeypatch,
 
     monkeypatch.setattr(locimage, "image_hilbert_series", broken)
     assert run(capsys, "localization-image", "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
+    assert not isolated_cache.exists()
+
+
+def test_orbit_series_that_is_no_polynomial_writes_nothing(capsys, isolated_cache, monkeypatch):
+    not_polynomial = RatFn(RatPoly.one(), RatPoly.one() - RatPoly.t(2))
+    monkeypatch.setattr(surfaces, "orbit_poincare_direct", lambda target: not_polynomial)
+    monkeypatch.setattr(surfaces, "orbit_poincare_assembled", lambda target: not_polynomial)
+    assert run(capsys, "orbit", "--n", "2", "--target", "plus") == (1, "")
     assert not isolated_cache.exists()
 
 
