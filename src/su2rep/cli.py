@@ -4,9 +4,11 @@ Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  A handler returns the report as a payload: a tree of dicts and
 lists in which a large list may be a ``LazyList``, whose rows are made only
-while they are written.  One writer walks the payload once and streams its
-text in chunks, so no report is held whole.  Errors are raised before the
-walk starts, so a failed request writes nothing.
+while they are written, as texts of one or more rows that are each written
+as one chunk: a run of localization-image basis rows, or the cup-table
+entries of one left factor.  One writer walks the payload once and streams
+its text in chunks, so no report is held whole.  Errors are raised before
+the walk starts, so a failed request writes nothing.
 
 Identical requests produce byte-identical output, with or without the
 on-disk cache, a pure accelerator.  An entry holds the bytes stdout got,
@@ -38,7 +40,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
-from .targets import ConsistencyError, SurfaceTarget, TargetKind
+from .targets import ENUMERATION_CAP, ConsistencyError, SurfaceTarget, TargetKind
 
 SCHEMA_VERSION = 1
 
@@ -135,33 +137,67 @@ def _cmd_localization_image(ns) -> dict:
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
             "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
-            "basis": LazyList(_basis_rows(locimage.iter_image_basis(spec, bound), spec.n)),
+            "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n)),
         }
     payload["sectors"] = sectors
     return payload
 
 
-def _basis_rows(basis, n: int):
-    """Each (mask, c1-power) of basis as the JSON of its row, whose subset is encoded once per mask."""
-    last = None
-    for mask, l in basis:
-        if mask != last:
-            last, k = mask, mask.bit_count()
-            subset = _encode([i + 1 for i in range(n) if mask >> i & 1])
-        yield f'{{"c1_power":{l},"degree":{k + 2 * l},"subset":{subset}}}'
+_ROW = '{{"c1_power":{},"degree":{},"subset":@}}'  # "@" marks where the subset goes
+
+
+def _basis_rows(runs, n: int):
+    """The JSON rows of runs of (mask, c1-powers), as texts of _BATCH to 2 _BATCH - 1 consecutive rows.
+
+    The last text may hold fewer.  The rows of a run differ only in c1_power
+    and degree, which follow from k = |mask| and the c1-power.  So the rows
+    of a slice of at most _BATCH c1-powers are one template, split at the
+    subset, and one str.join with the subset renders them.  The last
+    template made for each k is kept, since every mask with that k has the
+    same run in an image.  A subset is encoded from two tables of the texts
+    of its low and its high half.
+    """
+    half = n // 2
+    low = ["".join(f",{i + 1}" for i in range(half) if m >> i & 1) for m in range(1 << half)]
+    high = ["".join(f",{half + i + 1}" for i in range(n - half) if m >> i & 1) for m in range(1 << (n - half))]
+    low_bits = (1 << half) - 1
+    templates = {}  # k -> (a slice of c1-powers, its rows split at the subset)
+    texts, rows = [], 0
+    for mask, powers in runs:
+        if not powers:
+            continue
+        k = mask.bit_count()
+        subset = f"[{(low[mask & low_bits] + high[mask >> half])[1:]}]"
+        for part in (powers,) if len(powers) <= _BATCH else _slices(powers):
+            template = templates.get(k)
+            if template is None or template[0] != part:
+                degrees = range(k + 2 * part.start, k + 2 * part.stop, 2)
+                template = templates[k] = part, ",".join(map(_ROW.format, part, degrees)).split("@")
+            texts.append(subset.join(template[1]))
+            rows += len(part)
+            if rows >= _BATCH:
+                yield ",".join(texts)
+                texts, rows = [], 0
+    if texts:
+        yield ",".join(texts)
+
+
+def _slices(powers: range):
+    """powers in consecutive slices of _BATCH c1-powers."""
+    return (powers[start : start + _BATCH] for start in range(0, len(powers), _BATCH))
 
 
 def _cmd_cup_table(ns) -> dict:
     from . import locimage
 
     target = _target(ns)
+    entries = locimage.iter_cup_entries(ns.n, target.variant)  # raises here, before a byte is written
     payload = _base_payload("cup-table", ns)
-    table = locimage.cup_table(ns.n, target.variant)
     payload.update(
         {
-            "variety": table["target"],
-            "basis": table["basis"],
-            "table": table["table"],
+            "variety": target.variant.value,
+            "basis": [cls.to_json() for cls in locimage.ordinary_basis(ns.n, target.variant)],
+            "table": LazyList(entries),
             "reduced_cup_product_trivial": True if target.variant.value == "singular" else None,
         }
     )
@@ -266,8 +302,6 @@ def _validate(ns):
         if ns.n < 0:
             error("--n must be non-negative")
         if ns.command in {"localization-image", "cup-table"}:
-            from .exterior import ENUMERATION_CAP
-
             if ns.n > ENUMERATION_CAP:
                 error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
     if getattr(ns, "degree_bound", None) is not None and ns.degree_bound < 0:
@@ -410,29 +444,27 @@ def _cache_store(entry: _CacheEntry):
 # where a list may be a ``LazyList``.
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_BATCH = 1024  # lazy items, or CSV rows, per chunk
+_BATCH = 1024  # rows per text of a long run, or CSV rows, per chunk
 _COPY = 1 << 16  # bytes per chunk of a cache hit
 
 
 class LazyList:
-    """A list whose items, each given as its canonical JSON text, are produced while the output is written."""
+    """A list given as texts that are produced while the output is written, one chunk each.
 
-    def __init__(self, items):
-        self._items = items
+    A text is the canonical JSON of one or more consecutive items, joined by
+    commas; it is never empty.
+    """
 
-    def batches(self):
-        """The items in lists of up to _BATCH texts."""
-        items = iter(self._items)
-        while batch := list(islice(items, _BATCH)):
-            yield batch
+    def __init__(self, texts):
+        self.texts = texts
 
 
 def _json_chunks(value):
     """The text of json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces."""
     if isinstance(value, LazyList):
         head = "["
-        for batch in value.batches():
-            yield head + ",".join(batch)
+        for text in value.texts:
+            yield head + text
             head = ","
         yield "]" if head == "," else "[]"
         return
@@ -483,7 +515,7 @@ def _flatten(payload, prefix: str = ""):
                 stack.append((f"{head}{key}/", enumerate(value)))
                 break
             elif isinstance(value, LazyList):
-                rows = chain.from_iterable(json.loads(f"[{','.join(batch)}]") for batch in value.batches())
+                rows = chain.from_iterable(json.loads(f"[{text}]") for text in value.texts)
                 stack.append((f"{head}{key}/", enumerate(rows)))
                 break
             elif isinstance(value, bool):
@@ -499,30 +531,26 @@ def _flatten(payload, prefix: str = ""):
 
 
 def _csv_chunks(payload):
-    """The path,value CSV of payload, in chunks of up to _BATCH rows.
+    """The path,value CSV of payload: the header, then chunks of up to _BATCH rows.
 
-    A row whose "path,value" text holds one comma and no quote, CR or LF
-    needs no quoting, so it is written as it is; any other row goes through
-    csv.writer.
+    A chunk of n rows whose text holds n commas, n line feeds and no quote
+    or CR needs no quoting, so it is written as it is; any other chunk goes
+    through csv.writer, which writes a row that needs no quoting the same way.
     """
     import csv  # only --format csv needs it
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    lines = ["path,value\n"]
-    for path, text in _flatten(payload):
-        line = f"{path},{text}"
-        if line.count(",") == 1 and '"' not in line and "\n" not in line and "\r" not in line:
-            lines.append(line + "\n")
-        else:
-            writer.writerow((path, text))
-            lines.append(buffer.getvalue())
+    yield "path,value\n"
+    leaves = _flatten(payload)
+    while rows := list(islice(leaves, _BATCH)):
+        text = "".join([f"{path},{value}\n" for path, value in rows])
+        if text.count(",") != len(rows) or text.count("\n") != len(rows) or '"' in text or "\r" in text:
+            writer.writerows(rows)
+            text = buffer.getvalue()
             buffer.seek(0)
             buffer.truncate()
-        if len(lines) >= _BATCH:
-            yield "".join(lines)
-            lines.clear()
-    yield "".join(lines)
+        yield text
 
 
 def _write(chunks, outs):

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 
 from .ratpoly import RatFn, RatPoly
-from .targets import ConsistencyError, TargetKind
-
-#: Enumerations over all 2**n exterior monomials refuse to run past this size.
-ENUMERATION_CAP = 16
+from .targets import ENUMERATION_CAP, ConsistencyError, TargetKind
 
 
 def check_enumeration_cap(n: int):
@@ -46,17 +44,25 @@ class Sector(Enum):
         return Sector.PLUS if self is other else Sector.MINUS
 
 
+@lru_cache(maxsize=1 << 12)
+def _odd_above(mask_a: int) -> int:
+    """The mask of the positions with an odd number of bits of mask_a above them."""
+    odd = mask_a >> 1  # bit p: bit p + 1 of mask_a; the shifts below XOR in every higher one
+    shift = 1
+    while shift < mask_a.bit_length():
+        odd ^= odd >> shift
+        shift <<= 1
+    return odd
+
+
 def koszul_sign(mask_a: int, mask_b: int) -> int:
-    """Sign of the merge of two disjoint sorted index sets."""
-    sign = 1
-    b = mask_b
-    while b:
-        low = b & -b
-        above = mask_a >> low.bit_length()
-        if above.bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
+    """Sign of the merge of two disjoint sorted index sets.
+
+    Each index of mask_b passes the indices of mask_a above it, so the sign
+    is the parity of the bits of mask_b at positions with an odd number of
+    mask_a bits above them.
+    """
+    return -1 if (mask_b & _odd_above(mask_a)).bit_count() & 1 else 1
 
 
 def fixed_point_poincare(n: int) -> RatPoly:

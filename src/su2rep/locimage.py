@@ -19,10 +19,12 @@ predicate test.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import combinations
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
@@ -65,16 +67,19 @@ def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
     return tuple(spec.min_c1_power(k) for k in range(n + 1))
 
 
-def _mask_basis(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int, int]]:
-    # The checks run at the call; the pairs are made one at a time.
+def _mask_runs(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int, range]]:
+    # The checks run at the call; the runs are made one at a time.
     check_enumeration_cap(n_total)
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
     return (
-        (mask, l)
+        (mask, range(min_c1_of_mask(mask), (max_total_degree - mask.bit_count()) // 2 + 1))
         for mask in range(1 << n_total)
-        for l in range(min_c1_of_mask(mask), (max_total_degree - mask.bit_count()) // 2 + 1)
     )
+
+
+def _expand(runs) -> Iterator[tuple[int, int]]:
+    return ((mask, l) for mask, powers in runs for l in powers)
 
 
 def _mask_hilbert_series(n_total, min_c1_of_mask) -> RatFn:
@@ -83,14 +88,24 @@ def _mask_hilbert_series(n_total, min_c1_of_mask) -> RatFn:
     return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
 
+def iter_image_runs(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[int, range]]:
+    """Per subset mask, in ascending order, the range of its admissible c1-powers with total degree <= bound.
+
+    The range depends only on k = |mask|; it is empty when the bound admits
+    no c1-power.  The cap and bound checks raise when this is called, not at
+    the first ``next``.
+    """
+    min_c1 = _min_c1_powers(spec.n, spec.variant, spec.sector)
+    return _mask_runs(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()])
+
+
 def iter_image_basis(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[int, int]]:
     """All admissible (subset mask, c1-power) pairs with total degree <= bound, one at a time.
 
-    Ordered by mask (colexicographic on subsets) and then by c1-power.  The
-    cap and bound checks raise when this is called, not at the first ``next``.
+    The runs of ``iter_image_runs``, expanded: ordered by mask
+    (colexicographic on subsets) and then by c1-power.
     """
-    min_c1 = _min_c1_powers(spec.n, spec.variant, spec.sector)
-    return _mask_basis(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()])
+    return _expand(iter_image_runs(spec, max_total_degree))
 
 
 def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]:
@@ -138,7 +153,7 @@ class CombinedImage(namedtuple("CombinedImage", "left right")):
         return self.left.min_c1_power(k_left) + self.right.min_c1_power(k_right)
 
     def basis(self, max_total_degree: int) -> list[tuple[int, int]]:
-        return list(_mask_basis(self.n, max_total_degree, self.min_c1_power_of_mask))
+        return list(_expand(_mask_runs(self.n, max_total_degree, self.min_c1_power_of_mask)))
 
     def hilbert_series(self) -> RatFn:
         return _mask_hilbert_series(self.n, self.min_c1_power_of_mask)
@@ -294,44 +309,77 @@ def cup_product(c1: OrdClass, c2: OrdClass) -> tuple[int, OrdClass] | None:
     return koszul_sign(c1.mask, c2.mask), result
 
 
+def _submasks(complement: int, sizes: list[int]) -> list[int]:
+    """The submasks of complement whose bit count is in sizes, in ascending order."""
+    bits = [1 << p for p in range(complement.bit_length()) if complement >> p & 1]
+    if len(sizes) <= len(bits):  # not every size: make only those of the sizes given
+        return sorted(sum(chosen) for size in sizes for chosen in combinations(bits, size))
+    submasks = [0]
+    for bit in bits:  # bit lies above every submask so far, so the list stays ascending
+        submasks += [submask | bit for submask in submasks]
+    return submasks
+
+
+def iter_cup_entries(n: int, variant: Variant) -> Iterator[str]:
+    """The nonzero entries [i, j, k, coeff] of ``cup_table`` as JSON, one text per left factor i that has any.
+
+    A text is the entries of its left factor, in the order of j, joined by
+    commas.  Only disjoint masks multiply to a nonzero class, and whether such a
+    product survives the quotient, or escapes the image, depends only on the
+    two sectors and the bit counts of the factors.  So that is decided for
+    every (sector pair, k_a, k_b) at the call, in O(n^2): an escape raises
+    ``ConsistencyError`` before any entry is made.  The walk then visits, for
+    each left factor and right sector, only the submasks of the complement
+    whose size survives, in ascending order.
+    """
+    check_enumeration_cap(n)
+    min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
+    surviving = {}  # (sector_a, sector_b) -> per k_a, the bit counts k_b whose products survive
+    for sector_a in Sector:
+        for sector_b in Sector:
+            l_a, l_b, l_min = min_c1[sector_a], min_c1[sector_b], min_c1[sector_a * sector_b]
+            surviving[sector_a, sector_b] = by_k_a = []
+            for k_a in range(n + 1):
+                by_k_a.append([])
+                for k_b in range(n - k_a + 1):
+                    l, minimal = l_a[k_a] + l_b[k_b], l_min[k_a + k_b]
+                    if l < minimal:
+                        raise ConsistencyError("product escaped the localization image")
+                    if l == minimal:
+                        by_k_a[k_a].append(k_b)
+    return _cup_walk(n, surviving)
+
+
+def _cup_walk(n: int, surviving: dict) -> Iterator[str]:
+    offset = {Sector.PLUS: 0, Sector.MINUS: 1 << n}
+    full = (1 << n) - 1
+    for sector_a in Sector:
+        # (index of the right sector's first class, of the product's, surviving sizes by k_a)
+        right = [(offset[b], offset[sector_a * b], surviving[sector_a, b]) for b in Sector]
+        for mask in range(1 << n):
+            head, complement, k_a = f"[{offset[sector_a] + mask},", full ^ mask, mask.bit_count()
+            rows = []
+            for j0, k0, sizes in right:
+                submasks = _submasks(complement, sizes[k_a])
+                k = k0 + mask  # b is disjoint from mask, so the product's mask is mask + b
+                rows += [f"{head}{j0 + b},{k + b},{koszul_sign(mask, b)}]" for b in submasks]
+            if rows:
+                yield ",".join(rows)
+
+
 def cup_table(n: int, variant: Variant) -> dict:
     """Full multiplication table over the canonical basis, JSON-ready.
 
     Entries are (i, j, k, coeff) with basis indices into ``basis`` and only
-    nonzero products listed, in the order of (i, j).  Only pairs with
-    disjoint masks can multiply to a nonzero class, so for each left factor
-    the right factors are the submasks of its complement, in each sector;
-    the test applied to each is the one in ``cup_product``.
+    nonzero products listed, in the order of (i, j): the entries of
+    ``iter_cup_entries``, whose products are those of ``cup_product``.
     """
-    basis = ordinary_basis(n, variant)
-    min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
-    offset = {Sector.PLUS: 0, Sector.MINUS: 1 << n}
-    full = (1 << n) - 1
-    table = []
-    for i, a in enumerate(basis):
-        complement = full & ~a.mask
-        l_a = min_c1[a.sector][a.k]
-        for sector in Sector:
-            product_sector = a.sector * sector
-            l_b, l_min = min_c1[sector], min_c1[product_sector]
-            j0, k0 = offset[sector], offset[product_sector]
-            b = 0
-            while True:
-                union = a.mask | b
-                l = l_a + l_b[b.bit_count()]
-                minimal = l_min[union.bit_count()]
-                if l < minimal:
-                    raise ConsistencyError("product escaped the localization image")
-                if l == minimal:
-                    table.append([i, j0 + b, k0 + union, koszul_sign(a.mask, b)])
-                if b == complement:
-                    break
-                b = (b - complement) & complement  # next submask, ascending
+    entries = iter_cup_entries(n, variant)
     return {
         "n": n,
         "target": variant.value,
-        "basis": [cls.to_json() for cls in basis],
-        "table": table,
+        "basis": [cls.to_json() for cls in ordinary_basis(n, variant)],
+        "table": json.loads(f"[{','.join(entries)}]"),
     }
 
 

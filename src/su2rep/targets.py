@@ -17,6 +17,9 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
+#: Enumerations over all 2**n exterior monomials refuse to run past this size.
+ENUMERATION_CAP = 16
+
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed: the library, never the input, is wrong."""

@@ -181,6 +181,17 @@ def test_cup_table_cache_hit_loads_no_locimage(tmp_path):
     assert not loaded_on_hit & {"su2rep.locimage", "su2rep.checks", "numpy", "dataclasses"}
 
 
+@pytest.mark.parametrize(
+    "line", ["cup-table --n 2 --target plus", "localization-image --n 2 --target minus --format csv"]
+)
+def test_enumeration_cache_hit_loads_no_exact_module(tmp_path, line):
+    miss, loaded_on_miss = _loaded_by(tmp_path, line)
+    hit, loaded_on_hit = _loaded_by(tmp_path, line)
+    assert hit == miss
+    assert {"su2rep.locimage", "su2rep.exterior", "su2rep.ratpoly"} <= loaded_on_miss
+    assert not loaded_on_hit & {"su2rep.locimage", "su2rep.exterior", "su2rep.ratpoly", "numpy", "dataclasses"}
+
+
 def test_cache_hit_loads_no_computing_module(tmp_path):
     line = "betti --n 2 --target plus"
     miss, loaded_on_miss = _loaded_by(tmp_path, line)
@@ -505,21 +516,36 @@ def test_csv_rows_that_need_quoting_match_csv_writer():
     assert _render(cli._render_csv, payload) == reference_csv(materialized)
 
 
+def _uneven_runs(n, bound):
+    return ((mask, range(mask % 3, mask % 3 + (mask * bound) % 7)) for mask in range(1 << n))
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("sector", list(Sector))
 def test_localization_rows_match_json_dumps(variant, sector):
     for n in range(6):
         spec = locimage.ImageSpec(n, variant, sector)
-        pairs = locimage.image_basis(spec, 2 * n + 6)
-        expected = [
-            json.dumps(
-                {"subset": [i + 1 for i in range(n) if mask >> i & 1], "c1_power": l, "degree": mask.bit_count() + 2 * l},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for mask, l in pairs
-        ]
-        assert list(cli._basis_rows(iter(pairs), n)) == expected
+        for bound in (0, 3, 2 * n + 6, 60):
+            # An image's runs, and runs that, unlike an image's, differ between masks of one size.
+            for runs in (lambda: locimage.iter_image_runs(spec, bound), lambda: _uneven_runs(n, bound)):
+                expected = ",".join(
+                    json.dumps(
+                        {
+                            "subset": [i + 1 for i in range(n) if mask >> i & 1],
+                            "c1_power": l,
+                            "degree": mask.bit_count() + 2 * l,
+                        },
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                    for mask, powers in runs()
+                    for l in powers
+                )
+                for batch in (2, cli._BATCH):  # runs cut into slices and texts, and whole
+                    with mock.patch.object(cli, "_BATCH", batch):
+                        texts = list(cli._basis_rows(runs(), n))
+                    assert all(texts)
+                    assert ",".join(texts) == expected
 
 
 _EVERY_COMMAND = [
@@ -582,12 +608,43 @@ def test_localization_image_memory_does_not_grow_with_output(monkeypatch, line):
     assert peak < 4 * 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
 
 
+def test_cup_table_memory_does_not_grow_with_output(monkeypatch):
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["cup-table", "--n", "11", "--target", "plus", "--no-cache"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.count > 3_000_000
+    assert peak < 8 * 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
+
+
 class Digest:
     def __init__(self):
         self.sha = hashlib.sha256()
+        self.size = 0
 
     def write(self, text):
-        self.sha.update(text.encode())
+        data = text.encode()
+        self.sha.update(data)
+        self.size += len(data)
+
+
+# Request line -> sha256 and byte count of its stdout, recorded before the
+# enumerations rendered runs of rows and the cup table walked only surviving pairs.
+_ENUMERATION_DIGESTS = json.loads((ROOT / "tests" / "golden" / "enumeration_digests.json").read_text())
+
+
+@pytest.mark.parametrize("line", sorted(_ENUMERATION_DIGESTS))
+def test_enumeration_outputs_match_digests(monkeypatch, line):
+    sink = Digest()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main([*line.split(), "--no-cache"]) == 0
+    expected = _ENUMERATION_DIGESTS[line]
+    assert (sink.sha.hexdigest(), sink.size) == (expected["sha256"], expected["bytes"])
 
 
 def test_localization_image_cache_hit_memory_does_not_grow_with_output(monkeypatch):
@@ -629,6 +686,17 @@ def test_consistency_failure_writes_nothing(capsys, isolated_cache, monkeypatch,
 
     monkeypatch.setattr(locimage, "image_hilbert_series", broken)
     assert run(capsys, "localization-image", "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_escaping_cup_product_writes_nothing(capsys, isolated_cache, monkeypatch, fmt):
+    # With a zero minus-sector rule, minus x minus lands below the plus rule.
+    def escaping(n, variant, sector):
+        return tuple(k if sector is Sector.PLUS else 0 for k in range(n + 1))
+
+    monkeypatch.setattr(locimage, "_min_c1_powers", escaping)
+    assert run(capsys, "cup-table", "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
     assert not isolated_cache.exists()
 
 

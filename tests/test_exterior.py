@@ -47,6 +47,22 @@ def test_koszul_sign_exhaustive():
             assert koszul_sign(a, b) * koszul_sign(b, a) == graded
 
 
+def test_koszul_sign_matches_merge_sign_on_disjoint_pairs():
+    # Every disjoint pair of masks of n <= 8 generators is a disjoint pair of 8-bit masks.
+    full = (1 << 8) - 1
+    for a in range(1 << 8):
+        complement = full ^ a
+        b = 0
+        while True:
+            assert koszul_sign(a, b) == _merge_sign(a, b)
+            if b == complement:
+                break
+            b = (b - complement) & complement
+    wide = [(0b1011 << 40 | 0b101, 0b100 << 50 | 0b10), ((1 << 63) | 1, 0b110), (0, (1 << 70) - 1)]
+    for a, b in wide:
+        assert koszul_sign(a, b) == _merge_sign(a, b)
+
+
 def test_fixed_point_poincare_small_values():
     assert fixed_point_poincare(0) == RatPoly.constant(2)
     assert fixed_point_poincare(1) == 2 * one + 2 * t()

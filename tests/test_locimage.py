@@ -17,7 +17,9 @@ from su2rep.locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
+    iter_cup_entries,
     iter_image_basis,
+    iter_image_runs,
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
@@ -184,6 +186,36 @@ def test_factorization_hand_case_n1():
     assert combined.basis(6) == expected
 
 
+def _admissible_pairs(n, min_c1_of_mask, bound):
+    # Every (mask, l) with l at or above the mask's least c1-power and total degree <= bound.
+    return [
+        (mask, l)
+        for mask in range(1 << n)
+        for l in range(bound + 1)
+        if l >= min_c1_of_mask(mask) and mask.bit_count() + 2 * l <= bound
+    ]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("sector", list(Sector))
+def test_runs_expand_to_the_admissible_pairs(variant, sector):
+    for n in range(7):
+        spec = ImageSpec(n, variant, sector)
+        left = ImageSpec(max(n - 1, 0), Variant.REGULAR, sector)
+        right = ImageSpec(1 if variant is Variant.REGULAR else 0, variant, sector)
+        combined = CombinedImage(left, right)
+        for bound in range(2 * n + 7):
+            runs = list(iter_image_runs(spec, bound))
+            assert [mask for mask, _ in runs] == list(range(1 << n))
+            by_k = {}
+            for mask, powers in runs:  # a run depends on |mask| alone
+                assert by_k.setdefault(mask.bit_count(), powers) == powers
+            expected = _admissible_pairs(n, lambda mask: spec.min_c1_power(mask.bit_count()), bound)
+            assert [(mask, l) for mask, powers in runs for l in powers] == expected
+            assert image_basis(spec, bound) == expected
+            assert combined.basis(bound) == _admissible_pairs(combined.n, combined.min_c1_power_of_mask, bound)
+
+
 @pytest.mark.parametrize(
     "n, bound", [(ENUMERATION_CAP + 1, 10), (2, -1)], ids=["over-cap", "negative-bound"]
 )
@@ -314,12 +346,23 @@ def test_cup_table_matches_all_pairs_reference(n, variant):
     assert cup_table(n, variant)["table"] == _cup_table_reference(n, variant)
 
 
+def test_submasks_of_given_sizes_ascend():
+    for complement in range(1 << 6):
+        every = [b for b in range(complement + 1) if b & complement == b]
+        m = complement.bit_count()
+        for sizes in itertools.chain.from_iterable(itertools.combinations(range(m + 1), r) for r in range(m + 2)):
+            expected = [b for b in every if b.bit_count() in sizes]
+            assert locimage._submasks(complement, list(sizes)) == expected
+
+
 def test_cup_table_raises_when_a_product_escapes_the_image(monkeypatch):
     # With a zero minus-sector rule, minus x minus lands below the plus rule.
     broken = {Sector.PLUS: (0, 1), Sector.MINUS: (0, 0)}
     monkeypatch.setattr(locimage, "_min_c1_powers", lambda n, variant, sector: broken[sector])
     with pytest.raises(ConsistencyError):
         cup_table(1, Variant.REGULAR)
+    with pytest.raises(ConsistencyError):  # at the call, before any entry is asked for
+        iter_cup_entries(1, Variant.REGULAR)
 
 
 def test_minus_pairing_is_perfect_for_small_n():
