@@ -17,6 +17,8 @@ from .ratpoly import RatFn, RatPoly, poly_reciprocal
 from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 ALL_KINDS = (TargetKind.CENTRAL_PLUS, TargetKind.CENTRAL_MINUS, TargetKind.GENERIC)
+# The largest n of every check but the recursion, which runs to the n_max asked for.
+CHECK_N_MAX = 12
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
@@ -50,36 +52,37 @@ def check_recursion(n_max: int) -> list[str]:
 
 @_named("formality-dimension")
 def check_fixed_point_dimension(n_max: int) -> list[str]:
+    # Equivariant formality: the total Betti number equals that of the fixed
+    # locus, two n-tori, and for the generic class twice that.
     failures = []
     for n in range(n_max + 1):
         fixed_dim = fixed_point_poincare(n)(1)
-        for variant in Variant:
-            basis = locimage.ordinary_basis(n, variant)
-            if not len(basis) == 2 ** (n + 1) == fixed_dim:
-                failures.append(f"n={n} {variant.value}")
+        for kind in ALL_KINDS:
+            copies = 2 if kind is TargetKind.GENERIC else 1
+            if surfaces.poincare(SurfaceTarget(kind, n))(1) != copies * fixed_dim:
+                failures.append(f"n={n} {kind.value}")
     return failures
 
 
 @_named("localization-image-series")
-def check_localization_series(n_max: int, basis_n_max: int) -> list[str]:
+def check_localization_series(n_max: int) -> list[str]:
     failures = []
     ts = RatPoly.one() - RatPoly.t(2)
     for n in range(n_max + 1):
-        for variant in Variant:
-            target = SurfaceTarget.regular(n) if variant is Variant.REGULAR else SurfaceTarget.singular(n)
+        for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):
+            variant = target.variant
             plus, minus = surfaces.poincare_sectors(target)
             for sector, sector_poly in ((Sector.PLUS, plus), (Sector.MINUS, minus)):
                 spec = locimage.ImageSpec(n, variant, sector)
-                if locimage.image_hilbert_series(spec) != RatFn(sector_poly, ts):
+                series = locimage.image_hilbert_series(spec)
+                if series != RatFn(sector_poly, ts):
                     failures.append(f"series n={n} {variant.value}/{sector.value}")
-                if n <= basis_n_max:
-                    bound = 2 * n + 6
-                    counts = [0] * (bound + 1)
-                    for mask, l in locimage.image_basis(spec, bound):
-                        counts[mask.bit_count() + 2 * l] += 1
-                    series = locimage.image_hilbert_series(spec).series(bound)
-                    if counts != series:
-                        failures.append(f"basis-count n={n} {variant.value}/{sector.value}")
+                bound = 2 * n + 6
+                counts = [0] * (bound + 1)
+                for mask, l in locimage.image_basis(spec, bound):
+                    counts[mask.bit_count() + 2 * l] += 1
+                if counts != series.series(bound):
+                    failures.append(f"basis-count n={n} {variant.value}/{sector.value}")
     return failures
 
 
@@ -95,31 +98,25 @@ def check_factorization(n_max: int) -> list[str]:
 
 @_named("cup-product-structure")
 def check_cup_structure(n_max: int) -> list[str]:
+    # Read from the survival table per (sector pair, k_a, k_b) that cup-table walks.
     failures = []
+    plus, minus = Sector.PLUS, Sector.MINUS
     for n in range(n_max + 1):
-        matrix = locimage.minus_pairing_matrix(n)
-        if locimage.matrix_rank_exact(matrix) != 1 << n:
-            failures.append(f"pairing-rank n={n}")
+        every_size = list(range(n + 1))
         for variant in Variant:
-            basis = locimage.ordinary_basis(n, variant)
-            plus = [c for c in basis if c.sector is Sector.PLUS]
-            minus = [c for c in basis if c.sector is Sector.MINUS]
-            unit = plus[0]
-            if any(locimage.cup_product(unit, c) != (1, c) for c in basis):
+            surviving = locimage.cup_survival(n, variant)
+            if surviving[plus, plus][0] != every_size or surviving[plus, minus][0] != every_size:
                 failures.append(f"unit n={n} {variant.value}")
-            for a in plus:
-                if a.mask == 0:
-                    continue
-                for b in minus:
-                    if locimage.cup_product(a, b) is not None:
-                        failures.append(f"mixed n={n} {variant.value}")
-            if variant is Variant.SINGULAR:
-                if any(
-                    locimage.cup_product(a, b) is not None
-                    for a in minus
-                    for b in minus
-                ):
-                    failures.append(f"singular-minus n={n}")
+            # a_S a_T = +-a_(S|T) for every disjoint S, T: the exterior algebra.
+            if surviving[plus, plus] != [every_size[: n - k_a + 1] for k_a in every_size]:
+                failures.append(f"plus-subring n={n} {variant.value}")
+            if any(surviving[plus, minus][1:]) or any(k_b for row in surviving[minus, plus] for k_b in row):
+                failures.append(f"mixed n={n} {variant.value}")
+            # Nothing on the singular fiber; on the regular one a_S pairs with a_(S^c)
+            # alone, by a sign: a signed permutation matrix, so a perfect pairing.
+            pairing = [[] if variant is Variant.SINGULAR else [n - k_a] for k_a in every_size]
+            if surviving[minus, minus] != pairing:
+                failures.append(f"minus-pairing n={n} {variant.value}")
     return failures
 
 
@@ -175,8 +172,8 @@ def check_duality_euler(n_max: int) -> list[str]:
         if poly_reciprocal(regular, 3 * n) != regular:
             failures.append(f"duality n={n}")
         expected = 2 if n == 0 else 0
-        for make in (SurfaceTarget.regular, SurfaceTarget.singular):
-            if surfaces.euler_characteristic(make(n)) != expected:
+        for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):
+            if surfaces.euler_characteristic(target) != expected:
                 failures.append(f"euler n={n}")
     return failures
 
@@ -185,28 +182,23 @@ def check_duality_euler(n_max: int) -> list[str]:
 def check_bigrading(n_max: int) -> list[str]:
     failures = []
     for n in range(n_max + 1):
-        for variant in Variant:
-            target = SurfaceTarget.regular(n) if variant is Variant.REGULAR else SurfaceTarget.singular(n)
+        for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):
             closed = surfaces.bigraded_poincare(target)
-            if locimage.bigraded_generating_function(n, variant) != closed:
-                failures.append(f"generating-function n={n} {variant.value}")
+            if locimage.bigraded_generating_function(n, target.variant) != closed:
+                failures.append(f"generating-function n={n} {target.variant.value}")
             if surfaces.specialize_total_degree(closed) != surfaces.poincare(target):
-                failures.append(f"specialization n={n} {variant.value}")
+                failures.append(f"specialization n={n} {target.variant.value}")
     return failures
 
 
 @_named("equivariant-series-ties")
 def check_equivariant_ties(n_max: int) -> list[str]:
     failures = []
-    ts = RatPoly.one() - RatPoly.t(2)
     for n in range(n_max + 1):
-        for variant in Variant:
-            target = SurfaceTarget.regular(n) if variant is Variant.REGULAR else SurfaceTarget.singular(n)
-            total = locimage.image_hilbert_series(
-                locimage.ImageSpec(n, variant, Sector.PLUS)
-            ) + locimage.image_hilbert_series(locimage.ImageSpec(n, variant, Sector.MINUS))
-            if surfaces.equivariant_poincare(target).t_series != total:
-                failures.append(f"t-series n={n} {variant.value}")
+        for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):
+            plus, minus = (locimage.image_hilbert_series(locimage.ImageSpec(n, target.variant, s)) for s in Sector)
+            if surfaces.equivariant_poincare(target).t_series != plus + minus:
+                failures.append(f"t-series n={n} {target.variant.value}")
         generic = surfaces.equivariant_poincare(SurfaceTarget.generic(n)).t_series
         regular = surfaces.equivariant_poincare(SurfaceTarget.regular(n)).t_series
         if generic != RatFn(RatPoly.one() + RatPoly.t(2)) * regular:
@@ -215,19 +207,20 @@ def check_equivariant_ties(n_max: int) -> list[str]:
 
 
 def run_verify(n_max: int = 8) -> list[CheckResult]:
-    """Run the whole suite; heavy enumerations are capped independently."""
+    """Run the whole suite: the recursion to n_max, every other check to min(n_max, CHECK_N_MAX)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    n = min(n_max, CHECK_N_MAX)
     return [
         check_recursion(n_max),
-        check_fixed_point_dimension(min(n_max, 12)),
-        check_localization_series(min(n_max, 12), basis_n_max=min(n_max, 8)),
-        check_factorization(min(n_max, 8)),
-        check_cup_structure(min(n_max, 6)),
-        check_weyl_invariants(min(n_max, 12)),
-        check_pair_series(min(n_max, 8)),
-        check_orbit_spaces(min(n_max, 10)),
-        check_duality_euler(min(n_max, 12)),
-        check_bigrading(min(n_max, 10)),
-        check_equivariant_ties(min(n_max, 12)),
+        check_fixed_point_dimension(n),
+        check_localization_series(n),
+        check_factorization(n),
+        check_cup_structure(n),
+        check_weyl_invariants(n),
+        check_pair_series(n),
+        check_orbit_spaces(n),
+        check_duality_euler(n),
+        check_bigrading(n),
+        check_equivariant_ties(n),
     ]

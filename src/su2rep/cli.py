@@ -468,28 +468,28 @@ def _json_chunks(value):
             head = ","
         yield "]" if head == "," else "[]"
         return
-    try:
-        text = _encode(value)
-    except TypeError:  # a LazyList inside: walk down to it
-        if not isinstance(value, (dict, list, tuple)):
-            raise
-    else:
-        yield text
-        return
-    if isinstance(value, dict):
+    if isinstance(value, dict):  # walked key by key, so no value is encoded twice
         head = "{"
         for key in sorted(value):
             yield head + _encode(key) + ":"
             yield from _json_chunks(value[key])
             head = ","
         yield "}" if head == "," else "{}"
+        return
+    try:
+        text = _encode(value)
+    except TypeError:  # a LazyList inside: walk down to it
+        if not isinstance(value, (list, tuple)):
+            raise
     else:
-        head = "["
-        for item in value:
-            yield head
-            yield from _json_chunks(item)
-            head = ","
-        yield "]" if head == "," else "[]"
+        yield text
+        return
+    head = "["
+    for item in value:
+        yield head
+        yield from _json_chunks(item)
+        head = ","
+    yield "]" if head == "," else "[]"
 
 
 def _flatten(payload, prefix: str = ""):
@@ -570,6 +570,8 @@ def _render_csv(payload, outs):
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: the bytes do not depend on PYTHONINTMAXSTRDIGITS
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     ns = parser.parse_args(argv)
     _validate(ns)

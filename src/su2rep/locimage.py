@@ -320,34 +320,39 @@ def _submasks(complement: int, sizes: list[int]) -> list[int]:
     return submasks
 
 
+def cup_survival(n: int, variant: Variant) -> dict[tuple[Sector, Sector], list[list[int]]]:
+    """Which cup products of basis classes survive: (sector_a, sector_b) -> per k_a, the surviving k_b.
+
+    A product of disjoint masks survives the quotient by c1-divisible classes
+    when its c1-power l_a(k_a) + l_b(k_b) is the least one of its subset, so
+    this is O(n^2).  A product below that least c1-power escaped the
+    localization image and raises ``ConsistencyError``.
+    """
+    min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
+    pairs = [(k_a, k_b) for k_a in range(n + 1) for k_b in range(n - k_a + 1)]  # disjoint: k_a + k_b <= n
+    surviving = {}
+    for sector_a in Sector:
+        for sector_b in Sector:
+            l_a, l_b, l_min = min_c1[sector_a], min_c1[sector_b], min_c1[sector_a * sector_b]
+            if any(l_a[k_a] + l_b[k_b] < l_min[k_a + k_b] for k_a, k_b in pairs):
+                raise ConsistencyError("product escaped the localization image")
+            surviving[sector_a, sector_b] = by_k_a = [[] for _ in range(n + 1)]
+            for k_a, k_b in pairs:
+                if l_a[k_a] + l_b[k_b] == l_min[k_a + k_b]:
+                    by_k_a[k_a].append(k_b)
+    return surviving
+
+
 def iter_cup_entries(n: int, variant: Variant) -> Iterator[str]:
     """The nonzero entries [i, j, k, coeff] of ``cup_table`` as JSON, one text per left factor i that has any.
 
     A text is the entries of its left factor, in the order of j, joined by
-    commas.  Only disjoint masks multiply to a nonzero class, and whether such a
-    product survives the quotient, or escapes the image, depends only on the
-    two sectors and the bit counts of the factors.  So that is decided for
-    every (sector pair, k_a, k_b) at the call, in O(n^2): an escape raises
-    ``ConsistencyError`` before any entry is made.  The walk then visits, for
-    each left factor and right sector, only the submasks of the complement
-    whose size survives, in ascending order.
+    commas.  ``cup_survival`` runs at the call, so an escape raises before
+    any entry is made.  The walk visits, for each left factor and right
+    sector, only the submasks of the complement whose size survives.
     """
     check_enumeration_cap(n)
-    min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
-    surviving = {}  # (sector_a, sector_b) -> per k_a, the bit counts k_b whose products survive
-    for sector_a in Sector:
-        for sector_b in Sector:
-            l_a, l_b, l_min = min_c1[sector_a], min_c1[sector_b], min_c1[sector_a * sector_b]
-            surviving[sector_a, sector_b] = by_k_a = []
-            for k_a in range(n + 1):
-                by_k_a.append([])
-                for k_b in range(n - k_a + 1):
-                    l, minimal = l_a[k_a] + l_b[k_b], l_min[k_a + k_b]
-                    if l < minimal:
-                        raise ConsistencyError("product escaped the localization image")
-                    if l == minimal:
-                        by_k_a[k_a].append(k_b)
-    return _cup_walk(n, surviving)
+    return _cup_walk(n, cup_survival(n, variant))
 
 
 def _cup_walk(n: int, surviving: dict) -> Iterator[str]:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from su2rep import ConsistencyError, RatFn, RatPoly, Sector, Variant, cli, locimage, numeric, surfaces
+from su2rep import (
+    ConsistencyError, RatFn, RatPoly, Sector, TargetKind, Variant, checks, cli, locimage, numeric, surfaces,
+)
 from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
 from su2rep.exterior import ENUMERATION_CAP
 
@@ -106,8 +109,9 @@ def test_verify_exits_zero(capsys):
     [
         (surfaces, "orbit_poincare", ConsistencyError, "orbit-space-poincare"),
         (locimage, "factorization_check", ValueError, "kunneth-factorization"),
+        (locimage, "cup_survival", ConsistencyError, "cup-product-structure"),
     ],
-    ids=["orbit", "factorization"],
+    ids=["orbit", "factorization", "cup-survival"],
 )
 def test_verify_names_a_raising_check(capsys, monkeypatch, module, attr, error, check_name):
     def broken(*args, **kwargs):
@@ -121,6 +125,92 @@ def test_verify_names_a_raising_check(capsys, monkeypatch, module, attr, error, 
     failed = {c["name"]: c["detail"] for c in payload["checks"] if not c["passed"]}
     assert list(failed) == [check_name]
     assert "injected fault" in failed[check_name]
+
+
+def _failed_checks(capsys, n_max) -> dict:
+    code, out = run(capsys, "verify", "--n-max", str(n_max), "--no-cache")
+    payload = json.loads(out)
+    assert (code, payload["passed"]) == (1, False)
+    return {c["name"]: c["detail"] for c in payload["checks"] if not c["passed"]}
+
+
+def _leak_mixed(surviving):  # a_1 times the minus unit survives
+    surviving[Sector.PLUS, Sector.MINUS][1].append(0)
+
+
+def _drop_plus_product(surviving):  # a_S a_T with |S| = 1, |T| = n - 1 no longer survives
+    surviving[Sector.PLUS, Sector.PLUS][1].pop()
+
+
+def _drop_unit_product(surviving):  # 1 times the top minus class no longer survives
+    surviving[Sector.PLUS, Sector.MINUS][0].pop()
+
+
+def _drop_minus_pairing(surviving):  # the minus unit pairs with nothing
+    surviving[Sector.MINUS, Sector.MINUS][0] = []
+
+
+@pytest.mark.parametrize(
+    "corrupt, fact",
+    [
+        (_leak_mixed, "mixed n=1"),
+        (_drop_plus_product, "plus-subring n=1"),
+        (_drop_unit_product, "unit n=1"),
+        (_drop_minus_pairing, "minus-pairing n=1 regular"),
+    ],
+    ids=["mixed", "plus-subring", "unit", "minus-pairing"],
+)
+def test_cup_structure_fails_on_a_wrong_survival_table(capsys, monkeypatch, corrupt, fact):
+    real = locimage.cup_survival
+
+    def corrupted(n, variant):
+        surviving = real(n, variant)
+        if n >= 1:
+            corrupt(surviving)
+        return surviving
+
+    monkeypatch.setattr(locimage, "cup_survival", corrupted)
+    failed = _failed_checks(capsys, 2)
+    assert list(failed) == ["cup-product-structure"]
+    assert failed["cup-product-structure"].startswith(fact)
+
+
+def test_formality_fails_when_the_total_betti_number_is_off(capsys, monkeypatch):
+    real = surfaces.poincare
+
+    def off_at_one(target):
+        return real(target) + (RatPoly.t(3 * target.n + 1) if target.kind is TargetKind.GENERIC else 0)
+
+    monkeypatch.setattr(surfaces, "poincare", off_at_one)
+    failed = _failed_checks(capsys, 2)
+    assert failed["formality-dimension"] == "n=0 generic; n=1 generic; n=2 generic"
+
+
+@pytest.mark.parametrize("n_max", [3, 12, 20])
+def test_verify_runs_the_recursion_to_n_max_and_the_rest_to_12(monkeypatch, n_max):
+    calls = {}
+
+    def spy(name):
+        def check(n):
+            calls[name] = n
+            return checks.CheckResult(name, True)
+
+        return check
+
+    names = [name for name in vars(checks) if name.startswith("check_")]
+    for name in names:
+        monkeypatch.setattr(checks, name, spy(name))
+    results = checks.run_verify(n_max)
+    assert len(results) == len(names) == 11
+    assert calls == {name: n_max if name == "check_recursion" else min(n_max, 12) for name in names}
+
+
+def test_verify_outputs_match_golden(capsys):
+    # Request line -> stdout, recorded before verify read its facts from the
+    # survival table and ran every check but the recursion to min(n_max, 12).
+    golden = json.loads((ROOT / "tests" / "golden" / "verify_outputs.json").read_text())
+    for line, expected in golden.items():
+        assert run(capsys, *line.split()) == (0, expected), line
 
 
 def test_verify_output_survives_optimized_mode(tmp_path):
@@ -503,6 +593,43 @@ def test_writer_matches_json_dumps_and_flat_csv(pair):
         with mock.patch.object(cli, "_BATCH", batch):
             assert _render(cli._render_json, payload) == reference_json(materialized)
             assert _render(cli._render_csv, payload) == reference_csv(materialized)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cup-table", "--n", "3", "--target", "plus"], ["localization-image", "--n", "3", "--target", "minus"]],
+    ids=["cup-table", "localization-image"],
+)
+def test_writer_encodes_no_value_that_holds_a_lazy_list(capsys, monkeypatch, argv):
+    # A failed encode is wasted work: the value is then encoded again, piece by piece.
+    real, failed = cli._encode, []
+
+    def encode(value):
+        try:
+            return real(value)
+        except TypeError:
+            failed.append(value)
+            raise
+
+    monkeypatch.setattr(cli, "_encode", encode)
+    code, out = run(capsys, *argv, "--no-cache")
+    assert code == 0 and json.loads(out)
+    assert failed == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_does_not_depend_on_the_int_to_str_limit(tmp_path, fmt):
+    # C(2200, 1100) has 661 digits, past the least limit Python accepts (640).
+    argv = [sys.executable, "-m", "su2rep.cli", "betti", "--n", "2200", "--target", "plus", "--no-cache"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path)}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    unset = subprocess.run([*argv, "--format", fmt], capture_output=True, env=env)
+    limited = subprocess.run(
+        [*argv, "--format", fmt], capture_output=True, env={**env, "PYTHONINTMAXSTRDIGITS": "640"}
+    )
+    assert (limited.returncode, limited.stderr) == (unset.returncode, unset.stderr) == (0, b"")
+    assert limited.stdout == unset.stdout
+    assert max(len(v) for v in re.findall(rb"\d+", limited.stdout)) > 640
 
 
 def test_csv_rows_that_need_quoting_match_csv_writer():

@@ -13,6 +13,7 @@ from su2rep.locimage import (
     OrdClass,
     bigraded_generating_function,
     cup_product,
+    cup_survival,
     cup_table,
     factorization_check,
     image_basis,
@@ -344,6 +345,20 @@ def _cup_table_reference(n, variant):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_cup_table_matches_all_pairs_reference(n, variant):
     assert cup_table(n, variant)["table"] == _cup_table_reference(n, variant)
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cup_survival_matches_cup_product(n, variant):
+    surviving = cup_survival(n, variant)
+    assert set(surviving) == set(itertools.product(Sector, repeat=2))
+    for rows in surviving.values():
+        assert len(rows) == n + 1
+        assert all(row == sorted(set(row)) and set(row) <= set(range(n - k_a + 1)) for k_a, row in enumerate(rows))
+    basis = ordinary_basis(n, variant)
+    for a, b in itertools.product(basis, repeat=2):
+        if not a.mask & b.mask:
+            assert (cup_product(a, b) is not None) == (b.k in surviving[a.sector, b.sector][a.k]), (a, b)
 
 
 def test_submasks_of_given_sizes_ascend():
