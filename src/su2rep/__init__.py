@@ -16,7 +16,7 @@ _EXPORTS = {
     "exterior": ("Sector", "fixed_point_poincare", "weyl_invariant_series"),
     "locimage": (
         "ImageSpec", "OrdClass", "cup_product", "cup_table", "factorization_check", "image_basis",
-        "image_hilbert_series", "iter_cup_entries", "iter_image_basis", "iter_image_runs", "ordinary_basis",
+        "image_hilbert_series", "iter_cup_entries", "iter_image_runs", "ordinary_basis",
     ),
     "ratpoly": ("NotPolynomialError", "RatFn", "RatPoly", "poly_gcd", "poly_reciprocal"),
     "surfaces": (

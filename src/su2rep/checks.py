@@ -36,7 +36,7 @@ def _named(name: str):
         def run(*args, **kwargs) -> CheckResult:
             try:
                 failures = check(*args, **kwargs)
-            except (ConsistencyError, ValueError) as exc:
+            except Exception as exc:  # any fault is reported by name; it must not end the run
                 failures = [f"{type(exc).__name__}: {exc}"]
             return CheckResult(name, not failures, "; ".join(failures[:4]))
 
@@ -206,7 +206,7 @@ def check_equivariant_ties(n_max: int) -> list[str]:
     return failures
 
 
-def run_verify(n_max: int = 8) -> list[CheckResult]:
+def run_verify(n_max: int) -> list[CheckResult]:
     """Run the whole suite: the recursion to n_max, every other check to min(n_max, CHECK_N_MAX)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

@@ -2,23 +2,26 @@
 
 Every command writes one canonical report to stdout, as minified JSON with
 sorted keys (default) or as a flattened path,value CSV carrying the same
-content.  A handler returns the report as a payload: a tree of dicts and
-lists in which a large list may be a ``LazyList``, whose rows are made only
-while they are written, as texts of one or more rows that are each written
-as one chunk: a run of localization-image basis rows, or the cup-table
-entries of one left factor.  One writer walks the payload once and streams
-its text in chunks, so no report is held whole.  Errors are raised before
-the walk starts, so a failed request writes nothing.
+content.  ``main`` makes the envelope of the report (schema, command, and n
+and target where the command takes them) and a handler adds its own fields.
+The report is a payload: a tree of dicts and lists in which a large list may
+be a ``LazyList``, whose rows are made only while they are written, as texts
+of one or more rows that are each written as one chunk: a run of
+localization-image basis rows, or the cup-table entries of one left factor.
+One writer walks the payload once and streams its text in chunks, so no
+report is held whole.  Errors are raised before the walk starts, so a failed
+request writes nothing.
 
 Identical requests produce byte-identical output, with or without the
 on-disk cache, a pure accelerator.  An entry holds the bytes stdout got,
 then one line with its request key: on a miss the writer's chunks also go
 to a temp file, renamed into place once that line ends it, and a hit checks
 the line and copies the response to stdout in chunks, decoding no JSON and
-computing nothing.  An entry is named by a digest of the package source and
-a key of the request (format included) and the package version, so an entry
-written by other code never matches; a store removes the entries of other
-source digests.
+computing nothing.  An entry is named by a digest of the package source,
+which covers the package version, and a key of the parsed request, every
+option and the format included, so an entry written by other code or for
+another request never matches; a store removes the entries of other source
+digests.
 ``verify`` and ``numeric-check`` never read or write it, so their verdicts
 always come from the running code.
 
@@ -39,27 +42,17 @@ import sys
 from itertools import chain, islice
 from pathlib import Path
 
-from . import __version__
 from .targets import ENUMERATION_CAP, ConsistencyError, SurfaceTarget, TargetKind
 
 SCHEMA_VERSION = 1
 
 _KINDS = {kind.value: kind for kind in TargetKind}
 _CENTRAL_ONLY = {"bigraded", "localization-image", "cup-table"}
-# Verdicts are recomputed on every run: a cached "passed" would outlive the
-# code that earned it.
-_NEVER_CACHED = {"verify", "numeric-check"}
+# Verdicts are recomputed on every run, never cached: a cached "passed" would
+# outlive the code that earned it.  A failed one exits 1.
+_VERDICTS = {"verify", "numeric-check"}
 # An entry is "<source digest>-<request key>.json"; older code wrote "<request key>.json".
 _ENTRY_NAME = re.compile("([0-9a-f]{64}-)?[0-9a-f]{64}[.]json")
-
-
-def _base_payload(command: str, ns) -> dict:
-    payload = {"schema": SCHEMA_VERSION, "command": command}
-    if getattr(ns, "n", None) is not None:
-        payload["n"] = ns.n
-    if getattr(ns, "target", None) is not None:
-        payload["target"] = ns.target
-    return payload
 
 
 def _target(ns) -> SurfaceTarget:
@@ -71,19 +64,15 @@ def _cmd_betti(ns) -> dict:
 
     target = _target(ns)
     plus, minus = surfaces.poincare_sectors(target)
-    payload = _base_payload("betti", ns)
-    payload.update(
-        {
-            "variety": target.variant.value if target.is_central else "generic-product",
-            "poincare": (plus + minus).dense_coefficients(),
-            "poincare_plus": plus.dense_coefficients(),
-            "poincare_minus": minus.dense_coefficients(),
-            "euler_characteristic": surfaces.euler_characteristic(target),
-            "two_torsion": surfaces.has_two_torsion(target) if target.is_central else None,
-            "dimension": 3 * target.n + (2 if target.kind is TargetKind.GENERIC else 0),
-        }
-    )
-    return payload
+    return {
+        "variety": target.variant.value if target.is_central else "generic-product",
+        "poincare": (plus + minus).dense_coefficients(),
+        "poincare_plus": plus.dense_coefficients(),
+        "poincare_minus": minus.dense_coefficients(),
+        "euler_characteristic": surfaces.euler_characteristic(target),
+        "two_torsion": surfaces.has_two_torsion(target) if target.is_central else None,
+        "dimension": 3 * target.n + (2 if target.kind is TargetKind.GENERIC else 0),
+    }
 
 
 def _cmd_bigraded(ns) -> dict:
@@ -91,16 +80,12 @@ def _cmd_bigraded(ns) -> dict:
 
     target = _target(ns)
     bigraded = surfaces.bigraded_poincare(target)
-    payload = _base_payload("bigraded", ns)
-    payload.update(
-        {
-            "variety": target.variant.value,
-            "bigraded": [[[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items())],
-            "specialized": surfaces.specialize_total_degree(bigraded).dense_coefficients(),
-            "specialization_rule": "x^a y^b -> t^(a+b)",
-        }
-    )
-    return payload
+    return {
+        "variety": target.variant.value,
+        "bigraded": [[[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items())],
+        "specialized": surfaces.specialize_total_degree(bigraded).dense_coefficients(),
+        "specialization_rule": "x^a y^b -> t^(a+b)",
+    }
 
 
 def _cmd_equivariant(ns) -> dict:
@@ -108,18 +93,14 @@ def _cmd_equivariant(ns) -> dict:
 
     target = _target(ns)
     series = surfaces.equivariant_poincare(target)
-    payload = _base_payload("equivariant", ns)
-    payload.update(
-        {
-            "t_series": series.t_series.to_json(),
-            "g_series": series.g_series.to_json(),
-            "fixed_orbit_g_series": surfaces.gxt_equivariant_series(target).to_json(),
-            "pair_series": surfaces.pair_poincare(target).to_json(),
-            "pair_cup_product_trivial": True,
-            "equivariantly_formal": True,
-        }
-    )
-    return payload
+    return {
+        "t_series": series.t_series.to_json(),
+        "g_series": series.g_series.to_json(),
+        "fixed_orbit_g_series": surfaces.gxt_equivariant_series(target).to_json(),
+        "pair_series": surfaces.pair_poincare(target).to_json(),
+        "pair_cup_product_trivial": True,
+        "equivariantly_formal": True,
+    }
 
 
 def _cmd_localization_image(ns) -> dict:
@@ -128,9 +109,6 @@ def _cmd_localization_image(ns) -> dict:
 
     target = _target(ns)
     bound = ns.degree_bound if ns.degree_bound is not None else 2 * ns.n + 6
-    payload = _base_payload("localization-image", ns)
-    payload["variety"] = target.variant.value
-    payload["degree_bound"] = bound
     sectors = {}
     for sector in (Sector.PLUS, Sector.MINUS):
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
@@ -139,8 +117,7 @@ def _cmd_localization_image(ns) -> dict:
             "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
             "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n)),
         }
-    payload["sectors"] = sectors
-    return payload
+    return {"variety": target.variant.value, "degree_bound": bound, "sectors": sectors}
 
 
 _ROW = '{{"c1_power":{},"degree":{},"subset":@}}'  # "@" marks where the subset goes
@@ -192,34 +169,24 @@ def _cmd_cup_table(ns) -> dict:
 
     target = _target(ns)
     entries = locimage.iter_cup_entries(ns.n, target.variant)  # raises here, before a byte is written
-    payload = _base_payload("cup-table", ns)
-    payload.update(
-        {
-            "variety": target.variant.value,
-            "basis": [cls.to_json() for cls in locimage.ordinary_basis(ns.n, target.variant)],
-            "table": LazyList(entries),
-            "reduced_cup_product_trivial": True if target.variant.value == "singular" else None,
-        }
-    )
-    return payload
+    return {
+        "variety": target.variant.value,
+        "basis": [cls.to_json() for cls in locimage.ordinary_basis(ns.n, target.variant)],
+        "table": LazyList(entries),
+        "reduced_cup_product_trivial": True if target.variant.value == "singular" else None,
+    }
 
 
 def _cmd_orbit(ns) -> dict:
     from . import surfaces
 
     target = _target(ns)
-    payload = _base_payload("orbit", ns)
-    payload.update(
-        {
-            "poincare": surfaces.orbit_poincare(target).dense_coefficients(),
-            "pair_series": surfaces.pair_poincare(target).to_json(),
-            "pair_cup_product_trivial": True,
-            "reduced_cup_product_trivial": (
-                True if target.is_central and target.variant.value == "singular" else None
-            ),
-        }
-    )
-    return payload
+    return {
+        "poincare": surfaces.orbit_poincare(target).dense_coefficients(),
+        "pair_series": surfaces.pair_poincare(target).to_json(),
+        "pair_cup_product_trivial": True,
+        "reduced_cup_product_trivial": True if target.is_central and target.variant.value == "singular" else None,
+    }
 
 
 def _cmd_verify(ns) -> dict:
@@ -227,7 +194,6 @@ def _cmd_verify(ns) -> dict:
 
     results = checks.run_verify(ns.n_max)
     return {
-        **_base_payload("verify", ns),
         "n_max": ns.n_max,
         "checks": [r.to_json() for r in results],
         "passed": all(r.passed for r in results),
@@ -238,12 +204,7 @@ def _cmd_numeric_check(ns) -> dict:
     from . import numeric  # the only command that needs numpy
 
     rows = numeric.numeric_check_suite(seed=ns.seed)
-    return {
-        **_base_payload("numeric-check", ns),
-        "seed": ns.seed,
-        "checks": rows,
-        "passed": all(row["pass"] for row in rows),
-    }
+    return {"seed": ns.seed, "checks": rows, "passed": all(row["pass"] for row in rows)}
 
 
 _HANDLERS = {
@@ -335,18 +296,10 @@ def _source_digest() -> str:
 
 
 def _request_key(ns) -> str:
+    """sha256 of the parsed request: every option, the format included."""
     import hashlib
 
-    fields = {
-        "version": __version__,
-        "command": ns.command,
-        "format": ns.format,
-        "n": getattr(ns, "n", None),
-        "target": getattr(ns, "target", None),
-        "degree_bound": getattr(ns, "degree_bound", None),
-        "seed": getattr(ns, "seed", None),
-        "n_max": getattr(ns, "n_max", None),
-    }
+    fields = {key: value for key, value in vars(ns).items() if key not in ("parser", "no_cache")}
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -576,15 +529,17 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     _validate(ns)
 
-    use_cache = not ns.no_cache and ns.command not in _NEVER_CACHED
+    use_cache = not ns.no_cache and ns.command not in _VERDICTS
     if use_cache:
         path = _entry_path(ns)
         hit = _cache_load(path)
         if hit is not None:
             _copy(hit)
             return 0
+    payload = {"schema": SCHEMA_VERSION, "command": ns.command}
+    payload.update((key, getattr(ns, key)) for key in ("n", "target") if hasattr(ns, key))
     try:
-        payload = _HANDLERS[ns.command](ns)
+        payload.update(_HANDLERS[ns.command](ns))
     except ConsistencyError as exc:
         print(f"su2rep: internal consistency failure: {exc}", file=sys.stderr)
         return 1
@@ -598,7 +553,7 @@ def main(argv=None) -> int:
     finally:
         if entry is not None:
             entry.discard()
-    if ns.command in {"verify", "numeric-check"} and not payload.get("passed", False):
+    if ns.command in _VERDICTS and not payload["passed"]:
         return 1
     return 0
 

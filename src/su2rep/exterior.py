@@ -72,7 +72,11 @@ def fixed_point_poincare(n: int) -> RatPoly:
     return 2 * (RatPoly.one() + RatPoly.t()) ** n
 
 
-def weyl_invariant_series(n: int, kind: TargetKind, n_max: int = 40) -> RatFn:
+# The degree through which weyl_invariant_series recounts its monomials.
+_COUNT_DEGREE = 40
+
+
+def weyl_invariant_series(n: int, kind: TargetKind) -> RatFn:
     """Hilbert series of the Weyl invariants of the equivariant fixed locus.
 
     Computed by direct character counting on the monomial basis a_S * c1**l:
@@ -87,7 +91,7 @@ def weyl_invariant_series(n: int, kind: TargetKind, n_max: int = 40) -> RatFn:
 
     The per-monomial sums in l are geometric, so the result is an exact
     rational function; the expansion is re-checked coefficient by coefficient
-    against an explicit monomial count through degree ``n_max``.
+    against an explicit monomial count through degree ``_COUNT_DEGREE``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -104,12 +108,12 @@ def weyl_invariant_series(n: int, kind: TargetKind, n_max: int = 40) -> RatFn:
             numerator[mask.bit_count()] += copies
         series = RatFn(RatPoly(numerator), RatPoly.one() - RatPoly.t(2))
 
-    counts = [0] * (n_max + 1)
+    counts = [0] * (_COUNT_DEGREE + 1)
     for mask in range(1 << n):
         k = mask.bit_count()
-        if k > n_max:
+        if k > _COUNT_DEGREE:
             continue
-        for l in range((n_max - k) // 2 + 1):
+        for l in range((_COUNT_DEGREE - k) // 2 + 1):
             if kind is TargetKind.CENTRAL_PLUS:
                 if (k + l) % 2 == 0:
                     counts[k + 2 * l] += 2
@@ -117,6 +121,6 @@ def weyl_invariant_series(n: int, kind: TargetKind, n_max: int = 40) -> RatFn:
                 counts[k + 2 * l] += 1
             else:
                 counts[k + 2 * l] += 2
-    if counts != series.series(n_max):
+    if counts != series.series(_COUNT_DEGREE):
         raise ConsistencyError(f"Weyl-invariant count disagrees with the series: n={n} {kind.value}")
     return series

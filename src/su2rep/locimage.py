@@ -56,9 +56,6 @@ class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
             return max(0, self.n - k)
         return self.n + 1 - k
 
-    def admits(self, k: int, l: int) -> bool:
-        return l >= self.min_c1_power(k)
-
 
 @lru_cache(maxsize=None)
 def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
@@ -99,18 +96,13 @@ def iter_image_runs(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[in
     return _mask_runs(spec.n, max_total_degree, lambda mask: min_c1[mask.bit_count()])
 
 
-def iter_image_basis(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[int, int]]:
-    """All admissible (subset mask, c1-power) pairs with total degree <= bound, one at a time.
+def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]:
+    """All admissible (subset mask, c1-power) pairs with total degree <= bound.
 
     The runs of ``iter_image_runs``, expanded: ordered by mask
     (colexicographic on subsets) and then by c1-power.
     """
-    return _expand(iter_image_runs(spec, max_total_degree))
-
-
-def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]:
-    """The pairs of ``iter_image_basis``, as a list."""
-    return list(iter_image_basis(spec, max_total_degree))
+    return list(_expand(iter_image_runs(spec, max_total_degree)))
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
@@ -188,18 +180,19 @@ class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound case
         return None
 
 
-def factorization_check(n: int, degree_bound: int | None = None) -> FactorizationReport:
+def factorization_check(n: int) -> FactorizationReport:
     """Compare direct localization images against their product factorizations.
 
     The regular image on n+1 tuple slots must match (regular on n slots)
     tensor (regular on 2 slots); the singular image must match (regular on
     n+1 slots) tensor (the n = 0 singular image).  Both are checked basis
     element by basis element up to the degree bound and symbolically through
-    Hilbert series, which also pins down the eventually periodic tail.
+    Hilbert series, which also pins down the eventually periodic tail.  The
+    degree bound is 2n + 6.
     """
     if n < 1:
         raise ValueError("factorization requires n >= 1")
-    bound = 2 * n + 6 if degree_bound is None else degree_bound
+    bound = 2 * n + 6
     cases = []
     for variant in (Variant.REGULAR, Variant.SINGULAR):
         for sector in (Sector.PLUS, Sector.MINUS):

@@ -25,6 +25,12 @@ RESIDUAL_TOL = 1e-10
 #: Singular values above this threshold count toward the rank.
 RANK_TOL = 1e-6
 
+#: Within this distance of -1 a square-root fiber is the 2-sphere.
+SPHERE_TOL = 1e-9
+
+#: Sample count of every check of ``numeric_check_suite``.
+SUITE_SAMPLES = 2000
+
 
 def box(points):
     """Ordered product of squares of the tuple entries (left to right)."""
@@ -60,17 +66,10 @@ def box_singular_values(points):
     return np.linalg.svd(box_differential(points), compute_uv=False)
 
 
-def box_differential_rank(point, tol: float = RANK_TOL) -> int:
-    """Numerical rank (0..3) of the differential at one tuple."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    values = box_singular_values(np.asarray(point, dtype=float))
-    return int(np.sum(values > tol))
-
-
-def box_rank_batch(points, tol: float = RANK_TOL):
-    values = box_singular_values(points)
-    return np.sum(values > tol, axis=-1)
+def box_differential_rank(points):
+    """Numerical rank (0..3) of the differential at one tuple, or the array of ranks of a batch."""
+    ranks = np.sum(box_singular_values(points) > RANK_TOL, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def conjugate_tuple(points, g):
@@ -119,18 +118,16 @@ class SqrtFiber:
         return np.concatenate([np.zeros(axis.shape[:-1] + (1,)), axis], axis=-1)
 
 
-def sqrt_fiber(g, tol: float = 1e-9) -> SqrtFiber:
+def sqrt_fiber(g) -> SqrtFiber:
     """The square-root fiber of a unit quaternion.
 
     Away from -1 the fiber is the antipodal pair through the half angle; at
-    (or within ``tol`` of) -1 it is the 2-sphere of unit imaginary
+    (or within ``SPHERE_TOL`` of) -1 it is the 2-sphere of unit imaginary
     quaternions, i.e. the rotation angle pi/2 shell.  Returned point
-    solutions satisfy |h*h - g| <= 10*tol.
+    solutions satisfy |h*h - g| <= 10*SPHERE_TOL.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     g = quat.normalize(g)
-    if np.linalg.norm(g - quat.MINUS_IDENTITY) <= tol:
+    if np.linalg.norm(g - quat.MINUS_IDENTITY) <= SPHERE_TOL:
         return SqrtFiber("two_sphere")
     root = quat.principal_sqrt(g)
     return SqrtFiber("two_points", np.stack([root, -root]))
@@ -217,7 +214,7 @@ class VarietySample:
         return 3 * n + 2 if self.target.kind is TargetKind.GENERIC else 3 * n
 
 
-def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0, tol: float = 1e-9) -> VarietySample:
+def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0) -> VarietySample:
     """Draw points of the variety and estimate the local dimension at each.
 
     The tail entries are Haar distributed and the 0th entry solves the fiber
@@ -245,7 +242,7 @@ def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0, t
         values = np.concatenate([np.zeros((count, 1)), quat.random_axis(rng, count)], axis=1)
 
     needed_square = quat.mul(values, quat.conj(tail_product))
-    near_minus = quat.dist(needed_square, quat.MINUS_IDENTITY) <= tol
+    near_minus = quat.dist(needed_square, quat.MINUS_IDENTITY) <= SPHERE_TOL
     roots = quat.principal_sqrt(needed_square)
     sphere = np.concatenate([np.zeros((count, 1)), quat.random_axis(rng, count)], axis=1)
     zeroth = np.where(near_minus[:, None], sphere, roots)
@@ -260,13 +257,14 @@ def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0, t
         ranks = (np.linalg.norm(row, axis=-1) > RANK_TOL).astype(int)
     else:
         residual = float(np.max(quat.dist(box(points), values)))
-        ranks = box_rank_batch(points)
+        ranks = box_differential_rank(points)
     dims = 3 * (n + 1) - ranks
     return VarietySample(target, points, dims, residual)
 
 
-def numeric_check_suite(seed: int = 0, samples: int = 2000) -> list[dict]:
-    """Run every geometric check at a modest sample count; JSON-ready rows."""
+def numeric_check_suite(seed: int = 0) -> list[dict]:
+    """Run every geometric check on ``SUITE_SAMPLES`` samples; JSON-ready rows."""
+    samples = SUITE_SAMPLES
     rng = np.random.default_rng(seed)
     checks = []
 

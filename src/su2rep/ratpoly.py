@@ -53,7 +53,7 @@ class RatPoly:
         for exp, value in coeffs.items():
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a non-negative int, got {exp!r}")
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"coefficient must be an int, got {type(value).__name__}")
         dense = [0] * (max(coeffs, default=-1) + 1)
         for exp, value in coeffs.items():
@@ -301,8 +301,9 @@ class RatFn:
     __slots__ = ("_num",)
 
     def __init__(self, numerator, denominator=1):
-        num = self._as_poly(numerator)
-        den = self._as_poly(denominator)
+        num, den = RatPoly._coerce(numerator), RatPoly._coerce(denominator)
+        if num is None or den is None:
+            raise TypeError(f"cannot interpret {type(numerator).__name__} / {type(denominator).__name__}")
         cofactor, remainder = poly_divmod(_ONE_MINUS_T4, den)
         if remainder:
             raise ValueError(f"denominator {den} does not divide 1 - t^4")
@@ -314,14 +315,6 @@ class RatFn:
         out = object.__new__(cls)
         out._num = num
         return out
-
-    @staticmethod
-    def _as_poly(value) -> RatPoly:
-        if isinstance(value, RatPoly):
-            return value
-        if isinstance(value, int):
-            return RatPoly.constant(value)
-        raise TypeError(f"cannot interpret {type(value).__name__} as a polynomial")
 
     @classmethod
     def _coerce(cls, other):
@@ -403,7 +396,7 @@ class RatFn:
             raise NotPolynomialError(quotient, remainder)
         return quotient
 
-    def series(self, n_max: int = 40) -> list[int]:
+    def series(self, n_max: int) -> list[int]:
         """Exact Taylor coefficients c0..c_{n_max} at t = 0: c_k = N_k + c_{k-4}."""
         if n_max < 0:
             raise ValueError("series order must be non-negative")

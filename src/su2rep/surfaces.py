@@ -30,16 +30,7 @@ from .ratpoly import NotPolynomialError, RatFn, RatPoly, poly_reciprocal
 from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
-def _t(power: int = 1) -> RatPoly:
-    return RatPoly.t(power)
-
-
-def _one_plus_t() -> RatPoly:
-    return RatPoly.one() + _t()
-
-
-def _one_minus_t() -> RatPoly:
-    return RatPoly.one() - _t()
+_ONE_PLUS_T = RatPoly({0: 1, 1: 1})
 
 
 def _binomial_power(n: int, sign: int = 1, step: int = 1, shift: int = 0) -> RatPoly:
@@ -65,9 +56,9 @@ def poincare_sectors(target: SurfaceTarget) -> tuple[RatPoly, RatPoly]:
     plus = _binomial_power(n, step=3)
     minus = _binomial_power(n, shift=n)
     if target.is_central and target.variant is Variant.SINGULAR:
-        minus = _t(2) * minus
+        minus = RatPoly.t(2) * minus
     if target.kind is TargetKind.GENERIC:
-        sphere = RatPoly.one() + _t(2)
+        sphere = RatPoly.one() + RatPoly.t(2)
         plus, minus = sphere * plus, sphere * minus
     return plus, minus
 
@@ -148,19 +139,18 @@ def recursion_verify(n_max: int) -> RecursionReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    t = _t
 
     def ambient(m: int) -> RatPoly:
-        return (RatPoly.one() + t(3)) ** m
+        return (RatPoly.one() + RatPoly.t(3)) ** m
 
-    singular_prev = RatPoly.one() + t(2)
+    singular_prev = RatPoly.one() + RatPoly.t(2)
     steps = []
     for k in range(1, n_max + 1):
         regular_k = singular_prev + poly_reciprocal(singular_prev, 3 * k)
         regular_ok = regular_k == poincare(SurfaceTarget.regular(k))
 
-        relative = ambient(k + 1) + t(1) * regular_k - _one_plus_t() * ambient(k)
-        pair_ok = relative == t(3) * ambient(k) + t(1) * (t(1) + t(2)) ** k
+        relative = ambient(k + 1) + RatPoly.t(1) * regular_k - _ONE_PLUS_T * ambient(k)
+        pair_ok = relative == RatPoly.t(3) * ambient(k) + RatPoly.t(1) * (RatPoly.t(1) + RatPoly.t(2)) ** k
 
         singular_k = poly_reciprocal(relative, 3 * k + 3)
         singular_ok = singular_k == poincare(SurfaceTarget.singular(k))
@@ -185,27 +175,35 @@ def equivariant_poincare(target: SurfaceTarget) -> EquivariantSeries:
     """
     p = poincare(target)
     return EquivariantSeries(
-        g_series=RatFn(p, RatPoly.one() - _t(4)),
-        t_series=RatFn(p, RatPoly.one() - _t(2)),
+        g_series=RatFn(p, RatPoly.one() - RatPoly.t(4)),
+        t_series=RatFn(p, RatPoly.one() - RatPoly.t(2)),
     )
 
 
-def gxt_equivariant_series(target: SurfaceTarget) -> RatFn:
-    """Equivariant series of the union of orbits through the fixed locus.
+def _fixed_orbit_parts(target: SurfaceTarget) -> tuple[RatPoly, RatPoly]:
+    """(P, M): the fixed locus modulo the Weyl reflection has Poincare polynomial P + M.
 
-    Closed forms of the Weyl-invariant fixed-locus series:
-
-    * central +1:  (1+t)^n/(1-t^2) + (1-t)^n/(1+t^2)
-    * central -1:  (1+t)^n/(1-t^2)
-    * generic:     2 (1+t)^n/(1-t^2)
+    P = (1+t)^n and M = (1-t)^n when the reflection preserves the two
+    components (central +1); P = (1+t)^n and M = 0 when it swaps them
+    (central -1); P = 2 (1+t)^n and M = 0 for the doubled fixed locus of a
+    generic class.
     """
-    n = target.n
-    plus_part = RatFn(_one_plus_t() ** n, RatPoly.one() - _t(2))
+    plus = _ONE_PLUS_T ** target.n
     if target.kind is TargetKind.CENTRAL_PLUS:
-        return plus_part + RatFn(_one_minus_t() ** n, RatPoly.one() + _t(2))
+        return plus, (1 - RatPoly.t()) ** target.n
     if target.kind is TargetKind.CENTRAL_MINUS:
-        return plus_part
-    return 2 * plus_part
+        return plus, RatPoly.zero()
+    return 2 * plus, RatPoly.zero()
+
+
+def gxt_equivariant_series(target: SurfaceTarget) -> RatFn:
+    """Equivariant series P/(1-t^2) + M/(1+t^2) of the union of orbits through the fixed locus.
+
+    The closed form of the Weyl-invariant fixed-locus series, with (P, M)
+    the parts of :func:`_fixed_orbit_parts`.
+    """
+    plus, minus = _fixed_orbit_parts(target)
+    return RatFn(plus, 1 - RatPoly.t(2)) + RatFn(minus, 1 + RatPoly.t(2))
 
 
 def pair_poincare(target: SurfaceTarget) -> RatFn:
@@ -214,40 +212,31 @@ def pair_poincare(target: SurfaceTarget) -> RatFn:
     Equals t * (series of orbits through the fixed locus - full equivariant
     series); its cup product is trivial.
     """
-    return RatFn(_t(1)) * (gxt_equivariant_series(target) - equivariant_poincare(target).g_series)
+    return RatFn(RatPoly.t(1)) * (gxt_equivariant_series(target) - equivariant_poincare(target).g_series)
 
 
 def pair_poincare_direct(target: SurfaceTarget) -> RatFn:
     """The five-case closed display of the pair series, transcribed term by term."""
     n = target.n
-    t = RatFn(_t(1))
-    a = RatFn(_binomial_power(n), RatPoly.one() - _t(2))
-    b = RatFn(_binomial_power(n, sign=-1), RatPoly.one() + _t(2))
+    t = RatFn(RatPoly.t(1))
+    a = RatFn(_binomial_power(n), RatPoly.one() - RatPoly.t(2))
+    b = RatFn(_binomial_power(n, sign=-1), RatPoly.one() + RatPoly.t(2))
     regular_p = _binomial_power(n, step=3) + _binomial_power(n, shift=n)
     singular_p = _binomial_power(n, step=3) + _binomial_power(n, shift=n + 2)
-    one_minus_t4 = RatPoly.one() - _t(4)
+    one_minus_t4 = RatPoly.one() - RatPoly.t(4)
     if target.kind is TargetKind.CENTRAL_PLUS:
         inner = a + b - RatFn(singular_p if n % 2 else regular_p, one_minus_t4)
     elif target.kind is TargetKind.CENTRAL_MINUS:
         inner = a - RatFn(regular_p if n % 2 else singular_p, one_minus_t4)
     else:
-        inner = 2 * a - RatFn(regular_p, RatPoly.one() - _t(2))
+        inner = 2 * a - RatFn(regular_p, RatPoly.one() - RatPoly.t(2))
     return t * inner
 
 
 def fixed_orbit_space_poincare(target: SurfaceTarget) -> RatPoly:
-    """Poincare polynomial of the fixed locus modulo the Weyl reflection.
-
-    (1+t)^n + (1-t)^n when the reflection preserves the two components
-    (central +1), (1+t)^n when it swaps them (central -1), and 2 (1+t)^n for
-    the doubled fixed locus of a generic class.
-    """
-    n = target.n
-    if target.kind is TargetKind.CENTRAL_PLUS:
-        return _one_plus_t() ** n + _one_minus_t() ** n
-    if target.kind is TargetKind.CENTRAL_MINUS:
-        return _one_plus_t() ** n
-    return 2 * _one_plus_t() ** n
+    """Poincare polynomial P + M of the fixed locus modulo the Weyl reflection (see :func:`_fixed_orbit_parts`)."""
+    plus, minus = _fixed_orbit_parts(target)
+    return plus + minus
 
 
 def kernel_poincare(target: SurfaceTarget) -> RatPoly:
@@ -260,15 +249,15 @@ def kernel_poincare(target: SurfaceTarget) -> RatPoly:
         return RatPoly.one()
     # For a generic class the unit and the top minus class again span the
     # kernel; doubling this term breaks the n = 0 and n = 1 orbit spaces.
-    return RatPoly.one() + _t(target.n)
+    return RatPoly.one() + RatPoly.t(target.n)
 
 
 def orbit_poincare_direct(target: SurfaceTarget) -> RatFn:
     """Closed five-case expression for the orbit-space Poincare polynomial."""
     n = target.n
-    t = RatFn(_t(1))
-    tail_small = _one_plus_t()
-    tail_full = _one_plus_t() * (RatPoly.one() + _t(n))
+    t = RatFn(RatPoly.t(1))
+    tail_small = _ONE_PLUS_T
+    tail_full = _ONE_PLUS_T * (RatPoly.one() + RatPoly.t(n))
     pair = pair_poincare_direct(target)
     if target.kind is TargetKind.CENTRAL_PLUS:
         fixed = _binomial_power(n) + _binomial_power(n, sign=-1)
@@ -287,7 +276,7 @@ def orbit_poincare_assembled(target: SurfaceTarget) -> RatFn:
     pair = pair_poincare(target)
     fixed = fixed_orbit_space_poincare(target)
     kernel = kernel_poincare(target)
-    return pair - RatFn(_t(1) * fixed) + RatFn(_one_plus_t() * kernel)
+    return pair - RatFn(RatPoly.t(1) * fixed) + RatFn(_ONE_PLUS_T * kernel)
 
 
 def orbit_poincare(target: SurfaceTarget) -> RatPoly:

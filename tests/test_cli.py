@@ -110,8 +110,9 @@ def test_verify_exits_zero(capsys):
         (surfaces, "orbit_poincare", ConsistencyError, "orbit-space-poincare"),
         (locimage, "factorization_check", ValueError, "kunneth-factorization"),
         (locimage, "cup_survival", ConsistencyError, "cup-product-structure"),
+        (surfaces, "recursion_verify", IndexError, "poincare-recursion"),
     ],
-    ids=["orbit", "factorization", "cup-survival"],
+    ids=["orbit", "factorization", "cup-survival", "recursion"],
 )
 def test_verify_names_a_raising_check(capsys, monkeypatch, module, attr, error, check_name):
     def broken(*args, **kwargs):
@@ -455,6 +456,14 @@ def test_each_format_has_its_own_entry(capsys, isolated_cache):
         assert run(capsys, *argv, "--format", fmt) == miss
         assert miss[0] == 0
     assert misses["json"][1] != misses["csv"][1]
+
+
+def test_cache_key_covers_an_option_added_to_a_command():
+    # The key is the parsed request, so an option needs no listing to be part of it.
+    parser = build_parser()
+    argv = ["betti", "--n", "2", "--target", "plus"]
+    parser.parse_args(argv).parser.add_argument("--extra", type=int, default=0)  # the betti subparser
+    assert _entry_path(parser.parse_args(argv)) != _entry_path(parser.parse_args([*argv, "--extra", "1"]))
 
 
 def test_series_outputs_match_golden(capsys):

@@ -19,7 +19,6 @@ from su2rep.locimage import (
     image_basis,
     image_hilbert_series,
     iter_cup_entries,
-    iter_image_basis,
     iter_image_runs,
     matrix_rank_exact,
     minus_pairing_matrix,
@@ -104,16 +103,6 @@ def test_basis_counts_match_series_coefficients():
                 assert counts == image_hilbert_series(spec).series(bound)
 
 
-def test_image_is_closed_under_multiplication_by_c1():
-    for n in range(5):
-        for variant in Variant:
-            for sector in Sector:
-                spec = ImageSpec(n, variant, sector)
-                for k in range(n + 1):
-                    l = spec.min_c1_power(k)
-                    assert spec.admits(k, l) and spec.admits(k, l + 1)
-
-
 # -- Kunneth combination ---------------------------------------------------------
 
 
@@ -171,8 +160,8 @@ def test_equal_image_specs_share_lru_cache_entries():
     assert keyed(ImageSpec(3, Variant.REGULAR, Sector.MINUS)) == 0
 
     locimage._min_c1_powers.cache_clear()
-    list(iter_image_basis(first, 8))
-    list(iter_image_basis(second, 8))
+    image_basis(first, 8)
+    image_basis(second, 8)
     info = locimage._min_c1_powers.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -220,9 +209,9 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
 @pytest.mark.parametrize(
     "n, bound", [(ENUMERATION_CAP + 1, 10), (2, -1)], ids=["over-cap", "negative-bound"]
 )
-def test_iter_image_basis_checks_at_the_call(n, bound):
+def test_iter_image_runs_checks_at_the_call(n, bound):
     with pytest.raises(ValueError):
-        iter_image_basis(ImageSpec(n, Variant.REGULAR, Sector.PLUS), bound)
+        iter_image_runs(ImageSpec(n, Variant.REGULAR, Sector.PLUS), bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

@@ -91,7 +91,7 @@ def test_exponent_must_be_a_non_negative_int(exp, coeff):
         RatPoly({exp: coeff})
 
 
-@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 1.0, "1"])
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 1.0, "1", True])
 def test_coefficient_must_be_an_int(coeff):
     with pytest.raises(TypeError):
         RatPoly({0: coeff})
