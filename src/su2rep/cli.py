@@ -5,12 +5,15 @@ sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  ``main`` makes the envelope of the report (schema, command, and n
 and target where the command takes them) and a handler adds its own fields.
 The report is a payload: a tree of dicts and lists in which a large list may
-be a ``LazyList``, whose rows are made only while they are written, as texts
-of one or more rows that are each written as one chunk: a run of
-localization-image basis rows, or the cup-table entries of one left factor.
-One writer walks the payload once and streams its text in chunks, so no
-report is held whole.  Errors are raised before the walk starts, so a failed
-request writes nothing.
+be a ``LazyList``, whose parts are made only while they are written, each as
+one chunk.  A LazyList holds either texts of one or more rows (a run of
+localization-image basis rows, up to _BATCH cup-table basis rows, or the
+cup-table entries of one left factor) or items: the coefficients or the
+[exp, coeff, "1"] triples of a series, read from a polynomial computed
+before the walk, encoded _BATCH at a time for JSON and flattened as they are
+for CSV.  One writer walks the payload once and streams its text in chunks,
+so no report is held whole.  Errors are raised before the walk starts, so a
+failed request writes nothing.
 
 Identical requests produce byte-identical output, with or without the
 on-disk cache, a pure accelerator.  An entry holds the bytes stdout got,
@@ -66,9 +69,9 @@ def _cmd_betti(ns) -> dict:
     plus, minus = surfaces.poincare_sectors(target)
     return {
         "variety": target.variant.value if target.is_central else "generic-product",
-        "poincare": (plus + minus).dense_coefficients(),
-        "poincare_plus": plus.dense_coefficients(),
-        "poincare_minus": minus.dense_coefficients(),
+        "poincare": LazyList(items=(plus + minus).dense_coefficients()),
+        "poincare_plus": LazyList(items=plus.dense_coefficients()),
+        "poincare_minus": LazyList(items=minus.dense_coefficients()),
         "euler_characteristic": surfaces.euler_characteristic(target),
         "two_torsion": surfaces.has_two_torsion(target) if target.is_central else None,
         "dimension": 3 * target.n + (2 if target.kind is TargetKind.GENERIC else 0),
@@ -82,8 +85,8 @@ def _cmd_bigraded(ns) -> dict:
     bigraded = surfaces.bigraded_poincare(target)
     return {
         "variety": target.variant.value,
-        "bigraded": [[[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items())],
-        "specialized": surfaces.specialize_total_degree(bigraded).dense_coefficients(),
+        "bigraded": LazyList(items=([[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items()))),
+        "specialized": LazyList(items=surfaces.specialize_total_degree(bigraded).dense_coefficients()),
         "specialization_rule": "x^a y^b -> t^(a+b)",
     }
 
@@ -94,10 +97,10 @@ def _cmd_equivariant(ns) -> dict:
     target = _target(ns)
     series = surfaces.equivariant_poincare(target)
     return {
-        "t_series": series.t_series.to_json(),
-        "g_series": series.g_series.to_json(),
-        "fixed_orbit_g_series": surfaces.gxt_equivariant_series(target).to_json(),
-        "pair_series": surfaces.pair_poincare(target).to_json(),
+        "t_series": _series(series.t_series),
+        "g_series": _series(series.g_series),
+        "fixed_orbit_g_series": _series(surfaces.gxt_equivariant_series(target)),
+        "pair_series": _series(surfaces.pair_poincare(target)),
         "pair_cup_product_trivial": True,
         "equivariantly_formal": True,
     }
@@ -114,13 +117,27 @@ def _cmd_localization_image(ns) -> dict:
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
-            "hilbert_series": locimage.image_hilbert_series(spec).to_json(),
+            "hilbert_series": _series(locimage.image_hilbert_series(spec)),
             "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n)),
         }
     return {"variety": target.variant.value, "degree_bound": bound, "sectors": sectors}
 
 
+def _series(series) -> dict:
+    """series.to_json(), reduced now, with its lists of [exp, coeff, "1"] triples made while they are written."""
+    return {key: LazyList(items=triples) for key, triples in series.iter_json().items()}
+
+
 _ROW = '{{"c1_power":{},"degree":{},"subset":@}}'  # "@" marks where the subset goes
+
+
+def _subset_text(n: int):
+    """mask -> the JSON text of its subset of 1..n, read from two tables of the texts of its low and its high half."""
+    half = n // 2
+    low = ["".join(f",{i + 1}" for i in range(half) if m >> i & 1) for m in range(1 << half)]
+    high = ["".join(f",{half + i + 1}" for i in range(n - half) if m >> i & 1) for m in range(1 << (n - half))]
+    low_bits = (1 << half) - 1
+    return lambda mask: f"[{(low[mask & low_bits] + high[mask >> half])[1:]}]"
 
 
 def _basis_rows(runs, n: int):
@@ -131,20 +148,16 @@ def _basis_rows(runs, n: int):
     of a slice of at most _BATCH c1-powers are one template, split at the
     subset, and one str.join with the subset renders them.  The last
     template made for each k is kept, since every mask with that k has the
-    same run in an image.  A subset is encoded from two tables of the texts
-    of its low and its high half.
+    same run in an image.
     """
-    half = n // 2
-    low = ["".join(f",{i + 1}" for i in range(half) if m >> i & 1) for m in range(1 << half)]
-    high = ["".join(f",{half + i + 1}" for i in range(n - half) if m >> i & 1) for m in range(1 << (n - half))]
-    low_bits = (1 << half) - 1
+    subset_text = _subset_text(n)
     templates = {}  # k -> (a slice of c1-powers, its rows split at the subset)
     texts, rows = [], 0
     for mask, powers in runs:
         if not powers:
             continue
         k = mask.bit_count()
-        subset = f"[{(low[mask & low_bits] + high[mask >> half])[1:]}]"
+        subset = subset_text(mask)
         for part in (powers,) if len(powers) <= _BATCH else _slices(powers):
             template = templates.get(k)
             if template is None or template[0] != part:
@@ -166,15 +179,34 @@ def _slices(powers: range):
 
 def _cmd_cup_table(ns) -> dict:
     from . import locimage
+    from .exterior import Sector
 
     target = _target(ns)
     entries = locimage.iter_cup_entries(ns.n, target.variant)  # raises here, before a byte is written
+    specs = [locimage.ImageSpec(ns.n, target.variant, sector) for sector in (Sector.PLUS, Sector.MINUS)]
     return {
         "variety": target.variant.value,
-        "basis": [cls.to_json() for cls in locimage.ordinary_basis(ns.n, target.variant)],
+        "basis": LazyList(_ordinary_basis_rows(specs, ns.n)),
         "table": LazyList(entries),
         "reduced_cup_product_trivial": True if target.variant.value == "singular" else None,
     }
+
+
+def _ordinary_basis_rows(specs, n: int):
+    """The JSON rows of ``locimage.ordinary_basis``, the sectors of specs in turn, as texts of up to _BATCH rows.
+
+    A row depends on its mask only through the subset and k = |mask|, so it
+    is a head made once for each (sector, k), then the subset.
+    """
+    subset_text = _subset_text(n)
+    masks = range(1 << n)
+    for spec in specs:
+        heads = [
+            f'{{"c1_power":{spec.min_c1_power(k)},"coeff":"1","sector":"{spec.sector.value}","subset":'
+            for k in range(n + 1)
+        ]
+        for start in range(0, len(masks), _BATCH):
+            yield ",".join([f"{heads[mask.bit_count()]}{subset_text(mask)}}}" for mask in masks[start : start + _BATCH]])
 
 
 def _cmd_orbit(ns) -> dict:
@@ -182,8 +214,8 @@ def _cmd_orbit(ns) -> dict:
 
     target = _target(ns)
     return {
-        "poincare": surfaces.orbit_poincare(target).dense_coefficients(),
-        "pair_series": surfaces.pair_poincare(target).to_json(),
+        "poincare": LazyList(items=surfaces.orbit_poincare(target).dense_coefficients()),
+        "pair_series": _series(surfaces.pair_poincare(target)),
         "pair_cup_product_trivial": True,
         "reduced_cup_product_trivial": True if target.is_central and target.variant.value == "singular" else None,
     }
@@ -402,14 +434,24 @@ _COPY = 1 << 16  # bytes per chunk of a cache hit
 
 
 class LazyList:
-    """A list given as texts that are produced while the output is written, one chunk each.
+    """A list given in parts that are made while the output is written, one chunk each.
 
-    A text is the canonical JSON of one or more consecutive items, joined by
-    commas; it is never empty.
+    Either texts, each the canonical JSON of one or more consecutive items
+    joined by commas and never empty, or items, the values themselves, which
+    JSON encodes _BATCH at a time and CSV flattens as they are, so a big
+    integer is turned into text once.
     """
 
-    def __init__(self, texts):
-        self.texts = texts
+    def __init__(self, texts=None, items=None):
+        self._texts = texts
+        self.items = items
+
+    @property
+    def texts(self):
+        if self.items is None:
+            return self._texts
+        items = iter(self.items)
+        return (_encode(batch)[1:-1] for batch in iter(lambda: list(islice(items, _BATCH)), []))
 
 
 def _json_chunks(value):
@@ -468,7 +510,9 @@ def _flatten(payload, prefix: str = ""):
                 stack.append((f"{head}{key}/", enumerate(value)))
                 break
             elif isinstance(value, LazyList):
-                rows = chain.from_iterable(json.loads(f"[{text}]") for text in value.texts)
+                rows = value.items
+                if rows is None:
+                    rows = chain.from_iterable(json.loads(f"[{text}]") for text in value.texts)
                 stack.append((f"{head}{key}/", enumerate(rows)))
                 break
             elif isinstance(value, bool):

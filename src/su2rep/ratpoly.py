@@ -231,7 +231,11 @@ class RatPoly:
         Integers are emitted as decimal strings so arbitrary precision
         survives any JSON consumer; every denominator is "1".
         """
-        return [[exp, str(coeff), "1"] for exp, coeff in self.items()]
+        return list(self.iter_json())
+
+    def iter_json(self):
+        """The triples of ``to_json``, each made when it is asked for."""
+        return ([exp, str(coeff), "1"] for exp, coeff in enumerate(self._coeffs) if coeff)
 
 
 def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
@@ -407,5 +411,9 @@ class RatFn:
         return out
 
     def to_json(self) -> dict:
+        return {key: list(triples) for key, triples in self.iter_json().items()}
+
+    def iter_json(self) -> dict:
+        """The form of ``to_json``, reduced at the call, with an iterator of its triples for each list."""
         num, den = self._reduced()
-        return {"numerator": num.to_json(), "denominator": den.to_json()}
+        return {"numerator": num.iter_json(), "denominator": den.iter_json()}

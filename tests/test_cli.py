@@ -590,6 +590,7 @@ _payloads = st.recursive(
             lambda d: ({k: p for k, (p, _) in d.items()}, {k: m for k, (_, m) in d.items()})
         )
         | st.lists(_plain, max_size=5).map(lambda items: (_lazy(items), items))
+        | st.lists(_plain, max_size=5).map(lambda items: (LazyList(items=items), items))
     ),
     max_leaves=20,
 )
@@ -684,6 +685,39 @@ def test_localization_rows_match_json_dumps(variant, sector):
                     assert ",".join(texts) == expected
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_ordinary_basis_rows_match_json_dumps(variant):
+    for n in range(7):
+        specs = [locimage.ImageSpec(n, variant, sector) for sector in (Sector.PLUS, Sector.MINUS)]
+        expected = [cls.to_json() for cls in locimage.ordinary_basis(n, variant)]
+        for batch in (2, cli._BATCH):
+            with mock.patch.object(cli, "_BATCH", batch):
+                texts = list(cli._ordinary_basis_rows(specs, n))
+            assert all(texts)
+            assert ",".join(texts) == reference_json(expected)[1:-2]
+
+
+_SERIES_LINES = [
+    "betti --n 40 --target plus",
+    "bigraded --n 20 --target minus",
+    "equivariant --n 30 --target generic",
+    "orbit --n 30 --target plus",
+]
+
+
+def test_csv_of_a_streamed_series_parses_no_json(capsys, monkeypatch):
+    # CSV takes the items of a series as they are; parsing its JSON texts
+    # back would turn each coefficient into text three times.
+    expected = {line: reference_csv(json.loads(run(capsys, *line.split(), "--no-cache")[1])) for line in _SERIES_LINES}
+
+    def parse(*args, **kwargs):
+        raise AssertionError("a streamed list was parsed back")
+
+    monkeypatch.setattr(cli.json, "loads", parse)
+    for line, csv_out in expected.items():
+        assert run(capsys, *line.split(), "--format", "csv", "--no-cache") == (0, csv_out), line
+
+
 _EVERY_COMMAND = [
     "betti --n 2 --target plus",
     "bigraded --n 2 --target minus",
@@ -774,13 +808,43 @@ class Digest:
 _ENUMERATION_DIGESTS = json.loads((ROOT / "tests" / "golden" / "enumeration_digests.json").read_text())
 
 
-@pytest.mark.parametrize("line", sorted(_ENUMERATION_DIGESTS))
-def test_enumeration_outputs_match_digests(monkeypatch, line):
+# The same for the series commands at sizes that no other golden reaches,
+# recorded before their coefficient and triple lists were streamed.
+_SERIES_DIGESTS = json.loads((ROOT / "tests" / "golden" / "series_digests.json").read_text())
+
+
+def _assert_digest(monkeypatch, line, expected):
     sink = Digest()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main([*line.split(), "--no-cache"]) == 0
-    expected = _ENUMERATION_DIGESTS[line]
     assert (sink.sha.hexdigest(), sink.size) == (expected["sha256"], expected["bytes"])
+
+
+@pytest.mark.parametrize("line", sorted(_ENUMERATION_DIGESTS))
+def test_enumeration_outputs_match_digests(monkeypatch, line):
+    _assert_digest(monkeypatch, line, _ENUMERATION_DIGESTS[line])
+
+
+@pytest.mark.parametrize("line", sorted(_SERIES_DIGESTS))
+def test_series_outputs_match_digests(monkeypatch, line):
+    _assert_digest(monkeypatch, line, _SERIES_DIGESTS[line])
+
+
+@pytest.mark.parametrize("render", [cli._render_json, cli._render_csv], ids=["json", "csv"])
+@pytest.mark.parametrize("line", ["betti --n 3000 --target plus", "equivariant --n 800 --target generic"])
+def test_series_render_memory_does_not_grow_with_output(monkeypatch, line, render):
+    ns = build_parser().parse_args(line.split())
+    payload = cli._HANDLERS[ns.command](ns)
+    sink = ByteCounter()
+    monkeypatch.setattr(cli, "_BATCH", 64)
+    tracemalloc.start()
+    try:
+        render(payload, [sink])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.count > 1_000_000
+    assert peak < 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
 
 
 def test_localization_image_cache_hit_memory_does_not_grow_with_output(monkeypatch):
@@ -833,6 +897,26 @@ def test_escaping_cup_product_writes_nothing(capsys, isolated_cache, monkeypatch
 
     monkeypatch.setattr(locimage, "_min_c1_powers", escaping)
     assert run(capsys, "cup-table", "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
+    assert not isolated_cache.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "command, attr",
+    [
+        ("betti", "has_two_torsion"),
+        ("bigraded", "specialize_total_degree"),
+        ("equivariant", "pair_poincare"),
+        ("orbit", "pair_poincare"),
+    ],
+)
+def test_streamed_series_failure_writes_nothing(capsys, isolated_cache, monkeypatch, command, attr, fmt):
+    # The handler fails after it has made the lazy lists of its other series.
+    def broken(*args, **kwargs):
+        raise ConsistencyError("injected fault")
+
+    monkeypatch.setattr(surfaces, attr, broken)
+    assert run(capsys, command, "--n", "3", "--target", "plus", "--format", fmt) == (1, "")
     assert not isolated_cache.exists()
 
 
