@@ -78,10 +78,17 @@ def check_localization_series(n_max: int) -> list[str]:
                 if series != RatFn(sector_poly, ts):
                     failures.append(f"series n={n} {variant.value}/{sector.value}")
                 bound = 2 * n + 6
-                counts = [0] * (bound + 1)
-                for mask, l in locimage.image_basis(spec, bound):
-                    counts[mask.bit_count() + 2 * l] += 1
-                if counts != series.series(bound):
+                # A run of c1-powers l = a..b-1 over a mask of size k adds one basis
+                # element in each degree k + 2a, k + 2a + 2, ..., k + 2b - 2: mark its
+                # ends, then sum along each parity.
+                counts = [0] * (bound + 3)
+                for mask, powers in locimage.iter_image_runs(spec, bound):
+                    if powers:
+                        counts[mask.bit_count() + 2 * powers.start] += 1
+                        counts[mask.bit_count() + 2 * powers.stop] -= 1
+                for degree in range(2, bound + 1):
+                    counts[degree] += counts[degree - 2]
+                if counts[: bound + 1] != series.series(bound):
                     failures.append(f"basis-count n={n} {variant.value}/{sector.value}")
     return failures
 

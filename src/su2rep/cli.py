@@ -39,10 +39,11 @@ import codecs
 import contextlib
 import io
 import json
+import operator
 import os
 import re
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, starmap, zip_longest
 from pathlib import Path
 
 from .targets import ENUMERATION_CAP, ConsistencyError, SurfaceTarget, TargetKind
@@ -67,9 +68,11 @@ def _cmd_betti(ns) -> dict:
 
     target = _target(ns)
     plus, minus = surfaces.poincare_sectors(target)
+    # plus + minus, a coefficient at a time while it is written; no coefficient is negative, so none cancels.
+    total = starmap(operator.add, zip_longest(plus.dense_coefficients(), minus.dense_coefficients(), fillvalue=0))
     return {
         "variety": target.variant.value if target.is_central else "generic-product",
-        "poincare": LazyList(items=(plus + minus).dense_coefficients()),
+        "poincare": LazyList(items=total),
         "poincare_plus": LazyList(items=plus.dense_coefficients()),
         "poincare_minus": LazyList(items=minus.dense_coefficients()),
         "euler_characteristic": surfaces.euler_characteristic(target),
@@ -233,6 +236,8 @@ def _cmd_verify(ns) -> dict:
 
 
 def _cmd_numeric_check(ns) -> dict:
+    # The oracle's matrices are 3 x 9: one BLAS thread, unless the caller chose a count, starts numpy faster.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import numeric  # the only command that needs numpy
 
     rows = numeric.numeric_check_suite(seed=ns.seed)

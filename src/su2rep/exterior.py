@@ -108,19 +108,13 @@ def weyl_invariant_series(n: int, kind: TargetKind) -> RatFn:
             numerator[mask.bit_count()] += copies
         series = RatFn(RatPoly(numerator), RatPoly.one() - RatPoly.t(2))
 
+    # The invariant copies of a_S * c1**l, by the parity of |S| + l.
+    copies = {TargetKind.CENTRAL_PLUS: (2, 0), TargetKind.CENTRAL_MINUS: (1, 1)}.get(kind, (2, 2))
     counts = [0] * (_COUNT_DEGREE + 1)
     for mask in range(1 << n):
         k = mask.bit_count()
-        if k > _COUNT_DEGREE:
-            continue
-        for l in range((_COUNT_DEGREE - k) // 2 + 1):
-            if kind is TargetKind.CENTRAL_PLUS:
-                if (k + l) % 2 == 0:
-                    counts[k + 2 * l] += 2
-            elif kind is TargetKind.CENTRAL_MINUS:
-                counts[k + 2 * l] += 1
-            else:
-                counts[k + 2 * l] += 2
+        for l in range((_COUNT_DEGREE - k) // 2 + 1):  # empty once k > _COUNT_DEGREE
+            counts[k + 2 * l] += copies[(k + l) & 1]
     if counts != series.series(_COUNT_DEGREE):
         raise ConsistencyError(f"Weyl-invariant count disagrees with the series: n={n} {kind.value}")
     return series

@@ -50,18 +50,17 @@ class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
         """Smallest admissible c1-power above exterior degree k."""
         if not 0 <= k <= self.n:
             raise ValueError(f"exterior degree {k} out of range 0..{self.n}")
-        if self.sector is Sector.PLUS:
-            return k
-        if self.variant is Variant.REGULAR:
-            return max(0, self.n - k)
-        return self.n + 1 - k
+        return _min_c1_powers(self.n, self.variant, self.sector)[k]
 
 
 @lru_cache(maxsize=None)
 def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
-    # ImageSpec.min_c1_power for k = 0..n, built once per image.
-    spec = ImageSpec(n, variant, sector)
-    return tuple(spec.min_c1_power(k) for k in range(n + 1))
+    """The least admissible c1-power above each exterior degree k = 0..n: the three cases of the module docstring."""
+    if sector is Sector.PLUS:
+        return tuple(range(n + 1))
+    if variant is Variant.REGULAR:
+        return tuple(n - k for k in range(n + 1))
+    return tuple(n + 1 - k for k in range(n + 1))
 
 
 def _mask_runs(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int, range]]:
@@ -73,10 +72,6 @@ def _mask_runs(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int,
         (mask, range(min_c1_of_mask(mask), (max_total_degree - mask.bit_count()) // 2 + 1))
         for mask in range(1 << n_total)
     )
-
-
-def _expand(runs) -> Iterator[tuple[int, int]]:
-    return ((mask, l) for mask, powers in runs for l in powers)
 
 
 def _mask_hilbert_series(n_total, min_c1_of_mask) -> RatFn:
@@ -102,82 +97,47 @@ def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]
     The runs of ``iter_image_runs``, expanded: ordered by mask
     (colexicographic on subsets) and then by c1-power.
     """
-    return list(_expand(iter_image_runs(spec, max_total_degree)))
+    return [(mask, l) for mask, powers in iter_image_runs(spec, max_total_degree) for l in powers]
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
     """Hilbert series sum(C(n,k) t^(k+2l)) over admissible (k, l), exactly."""
-    numerator = RatPoly.zero()
-    for k in range(spec.n + 1):
-        numerator = numerator + math.comb(spec.n, k) * RatPoly.t(k + 2 * spec.min_c1_power(k))
-    return RatFn(numerator, RatPoly.one() - RatPoly.t(2))
+    degrees: Counter = Counter()
+    for k, l in enumerate(_min_c1_powers(*spec)):
+        degrees[k + 2 * l] += math.comb(spec.n, k)
+    return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
 
-class CombinedImage(namedtuple("CombinedImage", "left right")):
-    """Tensor over Q[c1] of two same-sector images, on concatenated generators.
+def tensor_min_c1(left: ImageSpec, right: ImageSpec):
+    """Tensor over Q[c1] of two same-sector images, on concatenated generators: mask -> its least c1-power.
 
     The fixed loci of a product glue by merging the 0th coordinates and
     concatenating the rest, so the left factor owns generator indices
-    1..left.n and the right factor the remaining right.n indices.  Only
-    like sectors tensor: the quotient by the diagonal involution kills the
-    mixed terms, and the plus (resp. minus) part of the product is
-    plus x plus (resp. minus x minus).
+    1..left.n and the right factor the remaining right.n indices.  A mask
+    splits into a left and a right subset, and its least c1-power is the sum
+    of theirs, read from the two factor tables.  Only like sectors tensor:
+    the quotient by the diagonal involution kills the mixed terms, and the
+    plus (resp. minus) part of the product is plus x plus (resp. minus x minus).
     """
-
-    __slots__ = ()
-
-    def __new__(cls, left: ImageSpec, right: ImageSpec):
-        if left.sector is not right.sector:
-            raise ValueError("only like sectors combine; mixed sectors die in the quotient")
-        return super().__new__(cls, left, right)
-
-    @property
-    def n(self) -> int:
-        return self.left.n + self.right.n
-
-    @property
-    def sector(self) -> Sector:
-        return self.left.sector
-
-    def min_c1_power_of_mask(self, mask: int) -> int:
-        k_left = (mask & ((1 << self.left.n) - 1)).bit_count()
-        k_right = (mask >> self.left.n).bit_count()
-        return self.left.min_c1_power(k_left) + self.right.min_c1_power(k_right)
-
-    def basis(self, max_total_degree: int) -> list[tuple[int, int]]:
-        return list(_expand(_mask_runs(self.n, max_total_degree, self.min_c1_power_of_mask)))
-
-    def hilbert_series(self) -> RatFn:
-        return _mask_hilbert_series(self.n, self.min_c1_power_of_mask)
+    if left.sector is not right.sector:
+        raise ValueError("only like sectors combine; mixed sectors die in the quotient")
+    left_c1, right_c1 = _min_c1_powers(*left), _min_c1_powers(*right)
+    low = (1 << left.n) - 1
+    return lambda mask: left_c1[(mask & low).bit_count()] + right_c1[(mask >> left.n).bit_count()]
 
 
-class FactorizationCase(
-    namedtuple(
-        "FactorizationCase", "variant sector basis_match series_match tensor_series_match detail", defaults=("",)
-    )
-):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.basis_match and self.series_match and self.tensor_series_match
-
-
-class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound cases")):
-    """cases: one FactorizationCase per (variant, sector)."""
+class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound failures")):
+    """failures: "variant/sector: detail" for each image that does not factor."""
 
     __slots__ = ()
 
     @property
     def passed(self) -> bool:
-        return all(case.passed for case in self.cases)
+        return not self.failures
 
     @property
     def first_discrepancy(self) -> str | None:
-        for case in self.cases:
-            if not case.passed:
-                return f"{case.variant.value}/{case.sector.value}: {case.detail}"
-        return None
+        return self.failures[0] if self.failures else None
 
 
 def factorization_check(n: int) -> FactorizationReport:
@@ -185,49 +145,38 @@ def factorization_check(n: int) -> FactorizationReport:
 
     The regular image on n+1 tuple slots must match (regular on n slots)
     tensor (regular on 2 slots); the singular image must match (regular on
-    n+1 slots) tensor (the n = 0 singular image).  Both are checked basis
-    element by basis element up to the degree bound and symbolically through
-    Hilbert series, which also pins down the eventually periodic tail.  The
-    degree bound is 2n + 6.
+    n+1 slots) tensor (the n = 0 singular image).  Both are checked run by
+    run up to the degree bound, a differing run named by its first basis
+    element, and symbolically through Hilbert series, which also pins down
+    the eventually periodic tail.  The degree bound is 2n + 6.
     """
     if n < 1:
         raise ValueError("factorization requires n >= 1")
     bound = 2 * n + 6
-    cases = []
+    failures = []
     for variant in (Variant.REGULAR, Variant.SINGULAR):
         for sector in (Sector.PLUS, Sector.MINUS):
             direct = ImageSpec(n, variant, sector)
             if variant is Variant.REGULAR:
-                combined = CombinedImage(
-                    ImageSpec(n - 1, Variant.REGULAR, sector),
-                    ImageSpec(1, Variant.REGULAR, sector),
-                )
+                left, right = ImageSpec(n - 1, Variant.REGULAR, sector), ImageSpec(1, Variant.REGULAR, sector)
             else:
-                combined = CombinedImage(
-                    ImageSpec(n, Variant.REGULAR, sector),
-                    ImageSpec(0, Variant.SINGULAR, sector),
-                )
-            direct_basis = image_basis(direct, bound)
-            combined_basis = combined.basis(bound)
-            basis_match = direct_basis == combined_basis
+                left, right = ImageSpec(n, Variant.REGULAR, sector), ImageSpec(0, Variant.SINGULAR, sector)
+            min_c1 = tensor_min_c1(left, right)  # on left.n + right.n = n generators
+            runs = zip(iter_image_runs(direct, bound), _mask_runs(n, bound, min_c1))
+            differing = next(((mask, a, b) for (mask, a), (_, b) in runs if a != b), None)
             direct_series = image_hilbert_series(direct)
-            series_match = direct_series == combined.hilbert_series()
             # (1 - t^2) goes into the right factor first so that every partial
             # product keeps a denominator dividing 1 - t^4.
-            tensor_series = image_hilbert_series(combined.left) * (
-                (RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(combined.right)
-            )
-            tensor_series_match = direct_series == tensor_series
-            detail = ""
-            if not basis_match:
-                extra = set(direct_basis) ^ set(combined_basis)
-                detail = f"first differing basis element {sorted(extra)[0]}"
-            elif not (series_match and tensor_series_match):
+            tensor_series = image_hilbert_series(left) * ((RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(right))
+            if differing is not None:
+                mask, a, b = differing
+                detail = f"first differing basis element {(mask, min(set(a) ^ set(b)))}"
+            elif direct_series != _mask_hilbert_series(n, min_c1) or direct_series != tensor_series:
                 detail = "Hilbert series disagree"
-            cases.append(
-                FactorizationCase(variant, sector, basis_match, series_match, tensor_series_match, detail)
-            )
-    return FactorizationReport(n, bound, tuple(cases))
+            else:
+                continue
+            failures.append(f"{variant.value}/{sector.value}: {detail}")
+    return FactorizationReport(n, bound, tuple(failures))
 
 
 class OrdClass(namedtuple("OrdClass", "n variant sector mask")):
@@ -432,5 +381,16 @@ def matrix_rank_exact(matrix: list[list[int]]) -> int:
 
 
 def bigraded_generating_function(n: int, variant: Variant) -> dict[tuple[int, int], int]:
-    """Canonical basis classes counted by bidegree (k, 2l), as a dict with no zero entries."""
-    return dict(Counter(cls.bidegree for cls in ordinary_basis(n, variant)))
+    """Canonical basis classes counted by bidegree (k, 2l), as a dict with no zero entries.
+
+    Every subset mask is visited once, and counted in each sector at its
+    least c1-power, read from the sector's table.
+    """
+    check_enumeration_cap(n)
+    sizes = Counter(mask.bit_count() for mask in range(1 << n))
+    counts: Counter = Counter()
+    for sector in Sector:
+        min_c1 = _min_c1_powers(n, variant, sector)
+        for k, count in sizes.items():
+            counts[k, 2 * min_c1[k]] += count
+    return dict(counts)

@@ -279,64 +279,77 @@ def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0) -
 
 
 def numeric_check_suite(seed: int = 0) -> list[dict]:
-    """Run every geometric check on ``SUITE_SAMPLES`` samples; JSON-ready rows."""
+    """Run every geometric check on ``SUITE_SAMPLES`` samples; JSON-ready rows.
+
+    Each check gives its largest residual and whether it passed.  A check
+    that raises gives a failed row whose detail names the error, and the
+    checks after it still run.
+    """
     samples = SUITE_SAMPLES
     rng = np.random.default_rng(seed)
-    checks = []
-
-    def add(name, n_samples, residual, passed):
-        checks.append(
-            {
-                "check_name": name,
-                "samples": int(n_samples),
-                "max_residual": float(residual),
-                "pass": bool(passed),
-            }
-        )
-
     tuples = quat.random_unit(rng, (samples, 3))
-    g = quat.random_unit(rng, samples)
-    residual = float(np.max(quat.dist(box(conjugate_tuple(tuples, g)), quat.mul(quat.mul(g, box(tuples)), quat.conj(g)))))
-    add("box_conjugation_equivariance", samples, residual, residual <= 1e-12)
 
-    residual = float(np.max(quat.dist(box(flip_zeroth(tuples)), box(tuples))))
-    add("zeroth_flip_invariance", samples, residual, residual == 0.0)
+    def box_conjugation_equivariance():
+        g = quat.random_unit(rng, samples)
+        residual = np.max(quat.dist(box(conjugate_tuple(tuples, g)), quat.mul(quat.mul(g, box(tuples)), quat.conj(g))))
+        return residual, residual <= 1e-12
 
-    g = quat.random_unit(rng, samples)
-    residual = float(np.max(quat.dist(quat.square(quat.principal_sqrt(g)), g)))
-    add("sqrt_roundtrip", samples, residual, residual <= 1e-9)
+    def zeroth_flip_invariance():
+        residual = np.max(quat.dist(box(flip_zeroth(tuples)), box(tuples)))
+        return residual, residual == 0.0
 
-    fiber = sqrt_fiber(quat.MINUS_IDENTITY)
-    axes = quat.random_axis(rng, samples)
-    residual = float(np.max(quat.dist(quat.square(fiber.sphere_point(axes)), quat.MINUS_IDENTITY)))
-    ok = fiber.kind == "two_sphere" and sqrt_fiber(quat.IDENTITY).kind == "two_points"
-    add("sqrt_degenerate_fiber", samples, residual, ok and residual <= 1e-12)
+    def sqrt_roundtrip():
+        g = quat.random_unit(rng, samples)
+        residual = np.max(quat.dist(quat.square(quat.principal_sqrt(g)), g))
+        return residual, residual <= 1e-9
 
-    chart = x1r_chart_check(samples, seed)
-    add(
-        "x1r_chart",
-        samples,
-        max(chart.max_relation_residual, chart.max_equivariance_residual),
-        chart.passed,
-    )
+    def sqrt_degenerate_fiber():
+        fiber = sqrt_fiber(quat.MINUS_IDENTITY)
+        axes = quat.random_axis(rng, samples)
+        residual = np.max(quat.dist(quat.square(fiber.sphere_point(axes)), quat.MINUS_IDENTITY))
+        ok = fiber.kind == "two_sphere" and sqrt_fiber(quat.IDENTITY).kind == "two_points"
+        return residual, ok and residual <= 1e-12
 
-    points = quat.random_unit(rng, (samples, 3))
-    values = box_singular_values(points)
-    regular_floor = float(values[:, 2].min())
-    singular_third = float(box_singular_values(singular_example(2))[2])
-    gap_ok = (
-        bool(np.all(values[:, 2] > RANK_TOL))
-        and box_differential_rank(singular_example(2)) < 3
-        and regular_floor >= 1e4 * max(singular_third, 1e-300)
-    )
-    add("regular_rank_gap", samples, singular_third, gap_ok)
+    def chart():
+        report = x1r_chart_check(samples, seed)
+        return max(report.max_relation_residual, report.max_equivariance_residual), report.passed
 
-    diag = np.zeros((samples, 2, 4))
-    angles = rng.uniform(0.0, 2.0 * np.pi, (samples, 2))
-    diag[..., 0] = np.cos(angles)
-    diag[..., 1] = np.sin(angles)
-    residual = fixed_point_residual(diag)
-    moved = fixed_point_residual(conjugate_tuple(diag, quat.random_unit(rng, samples)))
-    add("fixed_point_residual", samples, residual, residual <= 1e-12 and moved > 1e-6)
+    def regular_rank_gap():
+        values = box_singular_values(quat.random_unit(rng, (samples, 3)))
+        regular_floor = float(values[:, 2].min())
+        singular_third = float(box_singular_values(singular_example(2))[2])
+        gap_ok = (
+            bool(np.all(values[:, 2] > RANK_TOL))
+            and box_differential_rank(singular_example(2)) < 3
+            and regular_floor >= 1e4 * max(singular_third, 1e-300)
+        )
+        return singular_third, gap_ok
 
-    return checks
+    def fixed_point():
+        diag = np.zeros((samples, 2, 4))
+        angles = rng.uniform(0.0, 2.0 * np.pi, (samples, 2))
+        diag[..., 0] = np.cos(angles)
+        diag[..., 1] = np.sin(angles)
+        residual = fixed_point_residual(diag)
+        moved = fixed_point_residual(conjugate_tuple(diag, quat.random_unit(rng, samples)))
+        return residual, residual <= 1e-12 and moved > 1e-6
+
+    rows = []
+    for name, check in (
+        ("box_conjugation_equivariance", box_conjugation_equivariance),
+        ("zeroth_flip_invariance", zeroth_flip_invariance),
+        ("sqrt_roundtrip", sqrt_roundtrip),
+        ("sqrt_degenerate_fiber", sqrt_degenerate_fiber),
+        ("x1r_chart", chart),
+        ("regular_rank_gap", regular_rank_gap),
+        ("fixed_point_residual", fixed_point),
+    ):
+        row = {"check_name": name, "samples": samples}
+        try:
+            residual, passed = check()
+        except Exception as exc:  # any fault is reported by name; it must not end the run
+            row.update({"max_residual": None, "pass": False, "detail": f"{type(exc).__name__}: {exc}"})
+        else:
+            row.update({"max_residual": float(residual), "pass": bool(passed)})
+        rows.append(row)
+    return rows

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from su2rep import (
-    ConsistencyError, RatFn, RatPoly, Sector, TargetKind, Variant, checks, cli, locimage, numeric, surfaces,
+    ConsistencyError, RatFn, RatPoly, Sector, SurfaceTarget, TargetKind, Variant, checks, cli, locimage, numeric,
+    surfaces,
 )
 from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
 from su2rep.exterior import ENUMERATION_CAP
@@ -128,6 +129,28 @@ def test_verify_names_a_raising_check(capsys, monkeypatch, module, attr, error, 
     assert "injected fault" in failed[check_name]
 
 
+def test_numeric_check_names_a_raising_check(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise numeric.np.linalg.LinAlgError("injected fault")
+
+    monkeypatch.setattr(numeric, "box_singular_values", broken)
+    code, out = run(capsys, "numeric-check", "--seed", "0", "--no-cache")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert len(payload["checks"]) == 7
+    failed = [row for row in payload["checks"] if not row["pass"]]
+    assert failed == [
+        {
+            "check_name": "regular_rank_gap",
+            "samples": numeric.SUITE_SAMPLES,
+            "max_residual": None,
+            "pass": False,
+            "detail": "LinAlgError: injected fault",
+        }
+    ]
+
+
 def _failed_checks(capsys, n_max) -> dict:
     code, out = run(capsys, "verify", "--n-max", str(n_max), "--no-cache")
     payload = json.loads(out)
@@ -185,6 +208,29 @@ def test_formality_fails_when_the_total_betti_number_is_off(capsys, monkeypatch)
     monkeypatch.setattr(surfaces, "poincare", off_at_one)
     failed = _failed_checks(capsys, 2)
     assert failed["formality-dimension"] == "n=0 generic; n=1 generic; n=2 generic"
+
+
+def test_kunneth_fails_on_a_tensor_table_off_at_one_mask(capsys, monkeypatch):
+    real = locimage.tensor_min_c1
+
+    def off_at_mask_1(left, right):
+        min_c1 = real(left, right)
+        return lambda mask: min_c1(mask) + (mask == 1)
+
+    monkeypatch.setattr(locimage, "tensor_min_c1", off_at_mask_1)
+    failed = _failed_checks(capsys, 2)
+    assert failed == {
+        "kunneth-factorization": "n=1: regular/plus: first differing basis element (1, 1); "
+        "n=2: regular/plus: first differing basis element (1, 1)"
+    }
+
+
+def test_recursion_names_the_broken_step(capsys, monkeypatch):
+    real = surfaces.poincare
+    broken = SurfaceTarget.singular(3)
+    monkeypatch.setattr(surfaces, "poincare", lambda target: real(target) + int(target == broken))
+    assert surfaces.recursion_verify(5).failures == ("k=3",)
+    assert _failed_checks(capsys, 5)["poincare-recursion"] == "k=3"
 
 
 @pytest.mark.parametrize("n_max", [3, 12, 20])
@@ -310,6 +356,24 @@ def test_numeric_check_exits_zero(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert {row["check_name"] for row in payload["checks"]} >= {"sqrt_roundtrip", "x1r_chart"}
+
+
+def test_numeric_check_starts_one_blas_thread_unless_asked(tmp_path):
+    code = (
+        "import os, sys, su2rep.cli\n"
+        "rc = su2rep.cli.main(['numeric-check', '--seed', '1'])\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(ROOT / "src"), SU2REP_CACHE_DIR=str(tmp_path))
+    outputs = {}
+    for threads in (None, "1", "2"):
+        extra = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env={**env, **extra}, check=True)
+        outputs[threads] = done.stdout, done.stderr.decode().strip()
+    assert outputs[None][0] == outputs["1"][0] == outputs["2"][0]
+    assert [seen for _, seen in outputs.values()] == ["1", "1", "2"]
 
 
 # -- usage errors ------------------------------------------------------------------
@@ -845,6 +909,24 @@ def test_series_render_memory_does_not_grow_with_output(monkeypatch, line, rende
         tracemalloc.stop()
     assert sink.count > 1_000_000
     assert peak < 2**20, f"peak {peak} bytes for {sink.count} bytes of output"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_betti_holds_the_sectors_and_no_sum(monkeypatch, fmt):
+    # The two sectors of n = 3000 take about 1.9 MB; a sum held beside them took 5.0 MB in all.
+    sink = ByteCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(cli, "_BATCH", 64)
+    surfaces.poincare_sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["betti", "--n", "3000", "--target", "plus", "--no-cache", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.count > 7_000_000
+    assert peak < 3 * 2**20, f"peak {peak} bytes"
 
 
 def test_localization_image_cache_hit_memory_does_not_grow_with_output(monkeypatch):

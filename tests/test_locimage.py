@@ -8,7 +8,6 @@ import pytest
 from su2rep import locimage
 from su2rep.exterior import ENUMERATION_CAP, Sector
 from su2rep.locimage import (
-    CombinedImage,
     ImageSpec,
     OrdClass,
     bigraded_generating_function,
@@ -23,6 +22,7 @@ from su2rep.locimage import (
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
+    tensor_min_c1,
 )
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.surfaces import bigraded_poincare, poincare, poincare_sectors
@@ -110,28 +110,28 @@ def test_combined_predicates_match_direct_ones():
     # regular(n) against regular(n-1) x regular(1), all sectors
     for n in range(1, 6):
         for sector in Sector:
-            combined = CombinedImage(
+            combined = tensor_min_c1(
                 ImageSpec(n - 1, Variant.REGULAR, sector), ImageSpec(1, Variant.REGULAR, sector)
             )
             direct = ImageSpec(n, Variant.REGULAR, sector)
             for mask in range(1 << n):
                 k = bin(mask).count("1")
-                assert combined.min_c1_power_of_mask(mask) == direct.min_c1_power(k)
+                assert combined(mask) == direct.min_c1_power(k)
 
 
 def test_combined_singular_predicate():
     for n in range(4):
-        combined = CombinedImage(
+        combined = tensor_min_c1(
             ImageSpec(n, Variant.REGULAR, Sector.MINUS), ImageSpec(0, Variant.SINGULAR, Sector.MINUS)
         )
         direct = ImageSpec(n, Variant.SINGULAR, Sector.MINUS)
         for mask in range(1 << n):
-            assert combined.min_c1_power_of_mask(mask) == direct.min_c1_power(bin(mask).count("1"))
+            assert combined(mask) == direct.min_c1_power(bin(mask).count("1"))
 
 
 def test_mixed_sector_combination_is_rejected():
     with pytest.raises(ValueError):
-        CombinedImage(
+        tensor_min_c1(
             ImageSpec(1, Variant.REGULAR, Sector.PLUS), ImageSpec(1, Variant.REGULAR, Sector.MINUS)
         )
 
@@ -168,12 +168,16 @@ def test_equal_image_specs_share_lru_cache_entries():
 
 def test_factorization_hand_case_n1():
     spec = ImageSpec(1, Variant.REGULAR, Sector.MINUS)
-    combined = CombinedImage(
+    combined = tensor_min_c1(
         ImageSpec(0, Variant.REGULAR, Sector.MINUS), ImageSpec(1, Variant.REGULAR, Sector.MINUS)
     )
     expected = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
     assert image_basis(spec, 6) == expected
-    assert combined.basis(6) == expected
+    assert _expanded(locimage._mask_runs(1, 6, combined)) == expected
+
+
+def _expanded(runs):
+    return [(mask, l) for mask, powers in runs for l in powers]
 
 
 def _admissible_pairs(n, min_c1_of_mask, bound):
@@ -193,7 +197,7 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
         spec = ImageSpec(n, variant, sector)
         left = ImageSpec(max(n - 1, 0), Variant.REGULAR, sector)
         right = ImageSpec(1 if variant is Variant.REGULAR else 0, variant, sector)
-        combined = CombinedImage(left, right)
+        combined = tensor_min_c1(left, right)
         for bound in range(2 * n + 7):
             runs = list(iter_image_runs(spec, bound))
             assert [mask for mask, _ in runs] == list(range(1 << n))
@@ -203,7 +207,8 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
             expected = _admissible_pairs(n, lambda mask: spec.min_c1_power(mask.bit_count()), bound)
             assert [(mask, l) for mask, powers in runs for l in powers] == expected
             assert image_basis(spec, bound) == expected
-            assert combined.basis(bound) == _admissible_pairs(combined.n, combined.min_c1_power_of_mask, bound)
+            combined_runs = locimage._mask_runs(left.n + right.n, bound, combined)
+            assert _expanded(combined_runs) == _admissible_pairs(left.n + right.n, combined, bound)
 
 
 @pytest.mark.parametrize(

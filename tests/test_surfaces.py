@@ -158,7 +158,7 @@ def test_recursion_first_step_by_hand():
 def test_recursion_verifies_through_ten():
     report = recursion_verify(10)
     assert report.passed
-    assert [step.k for step in report.steps] == list(range(1, 11))
+    assert (report.n_max, report.failures) == (10, ())
 
 
 def test_recursion_rejects_bad_bounds():
