@@ -21,11 +21,7 @@ ALL_KINDS = (TargetKind.CENTRAL_PLUS, TargetKind.CENTRAL_MINUS, TargetKind.GENER
 CHECK_N_MAX = 12
 
 
-class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 def _named(name: str):
@@ -77,7 +73,7 @@ def check_localization_series(n_max: int) -> list[str]:
                 series = locimage.image_hilbert_series(spec)
                 if series != RatFn(sector_poly, ts):
                     failures.append(f"series n={n} {variant.value}/{sector.value}")
-                bound = 2 * n + 6
+                bound = locimage.default_degree_bound(n)
                 # A run of c1-powers l = a..b-1 over a mask of size k adds one basis
                 # element in each degree k + 2a, k + 2a + 2, ..., k + 2b - 2: mark its
                 # ends, then sum along each parity.
@@ -176,7 +172,7 @@ def check_duality_euler(n_max: int) -> list[str]:
     failures = []
     for n in range(n_max + 1):
         regular = surfaces.poincare(SurfaceTarget.regular(n))
-        if poly_reciprocal(regular, 3 * n) != regular:
+        if poly_reciprocal(regular, SurfaceTarget.regular(n).dimension) != regular:
             failures.append(f"duality n={n}")
         expected = 2 if n == 0 else 0
         for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):

@@ -6,14 +6,15 @@ content.  ``main`` makes the envelope of the report (schema, command, and n
 and target where the command takes them) and a handler adds its own fields.
 The report is a payload: a tree of dicts and lists in which a large list may
 be a ``LazyList``, whose parts are made only while they are written, each as
-one chunk.  A LazyList holds either texts of one or more rows (a run of
-localization-image basis rows, up to _BATCH cup-table basis rows, or the
-cup-table entries of one left factor) or items: the coefficients or the
-[exp, coeff, "1"] triples of a series, read from a polynomial computed
-before the walk, encoded _BATCH at a time for JSON and flattened as they are
-for CSV.  One writer walks the payload once and streams its text in chunks,
-so no report is held whole.  Errors are raised before the walk starts, so a
-failed request writes nothing.
+one chunk.  A LazyList holds either texts of one or more rows (basis rows,
+_BATCH or more at a time, or the cup-table entries of one left factor) or
+items: the coefficients or the [exp, coeff, "1"] triples of a series, read
+from a polynomial computed before the walk, encoded _BATCH at a time for
+JSON and flattened as they are for CSV.  Series, verdicts and basis rows
+become text here alone; only the cup-table entries come as texts, from
+``locimage``.  One writer walks the payload once and streams its text in
+chunks, so no report is held whole.  Errors are raised before the walk
+starts, so a failed request writes nothing.
 
 Identical requests produce byte-identical output, with or without the
 on-disk cache, a pure accelerator.  An entry holds the bytes stdout got,
@@ -29,7 +30,8 @@ digests.
 always come from the running code.
 
 Exit codes: 0 success, 1 mathematical inconsistency (a cross-check failed,
-which means a bug, never bad input), 2 usage error.
+which means a bug, never bad input), 2 usage error, 141 stdout closed by its
+reader before the report was written.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _cmd_betti(ns) -> dict:
         "poincare_minus": LazyList(items=minus.dense_coefficients()),
         "euler_characteristic": surfaces.euler_characteristic(target),
         "two_torsion": surfaces.has_two_torsion(target) if target.is_central else None,
-        "dimension": 3 * target.n + (2 if target.kind is TargetKind.GENERIC else 0),
+        "dimension": target.dimension,
     }
 
 
@@ -88,7 +90,7 @@ def _cmd_bigraded(ns) -> dict:
     bigraded = surfaces.bigraded_poincare(target)
     return {
         "variety": target.variant.value,
-        "bigraded": LazyList(items=([[k, two_l], str(count), "1"] for (k, two_l), count in sorted(bigraded.items()))),
+        "bigraded": _triples(([k, two_l], count) for (k, two_l), count in sorted(bigraded.items())),
         "specialized": LazyList(items=surfaces.specialize_total_degree(bigraded).dense_coefficients()),
         "specialization_rule": "x^a y^b -> t^(a+b)",
     }
@@ -114,24 +116,34 @@ def _cmd_localization_image(ns) -> dict:
     from .exterior import Sector
 
     target = _target(ns)
-    bound = ns.degree_bound if ns.degree_bound is not None else 2 * ns.n + 6
+    bound = ns.degree_bound if ns.degree_bound is not None else locimage.default_degree_bound(ns.n)
     sectors = {}
     for sector in (Sector.PLUS, Sector.MINUS):
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
             "hilbert_series": _series(locimage.image_hilbert_series(spec)),
-            "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n)),
+            "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n, _IMAGE_ROW)),
         }
     return {"variety": target.variant.value, "degree_bound": bound, "sectors": sectors}
 
 
 def _series(series) -> dict:
-    """series.to_json(), reduced now, with its lists of [exp, coeff, "1"] triples made while they are written."""
-    return {key: LazyList(items=triples) for key, triples in series.iter_json().items()}
+    """A RatFn in its coprime form, reduced now: the triples of its numerator and of its denominator."""
+    num, den = series.reduced()
+    return {"numerator": _triples(num.items()), "denominator": _triples(den.items())}
 
 
-_ROW = '{{"c1_power":{},"degree":{},"subset":@}}'  # "@" marks where the subset goes
+def _triples(pairs) -> LazyList:
+    """The [exp, "coeff", "1"] triples of (exp, int coeff) pairs, each made while it is written.
+
+    A decimal string keeps every digit through any JSON reader.
+    """
+    return LazyList(items=([exp, str(coeff), "1"] for exp, coeff in pairs))
+
+
+# A row template: str.format fills in the c1-power and the degree, and "@" marks where the subset goes.
+_IMAGE_ROW = '{{"c1_power":{},"degree":{},"subset":@}}'
 
 
 def _subset_text(n: int):
@@ -143,15 +155,15 @@ def _subset_text(n: int):
     return lambda mask: f"[{(low[mask & low_bits] + high[mask >> half])[1:]}]"
 
 
-def _basis_rows(runs, n: int):
+def _basis_rows(runs, n: int, row: str):
     """The JSON rows of runs of (mask, c1-powers), as texts of _BATCH to 2 _BATCH - 1 consecutive rows.
 
-    The last text may hold fewer.  The rows of a run differ only in c1_power
-    and degree, which follow from k = |mask| and the c1-power.  So the rows
-    of a slice of at most _BATCH c1-powers are one template, split at the
-    subset, and one str.join with the subset renders them.  The last
-    template made for each k is kept, since every mask with that k has the
-    same run in an image.
+    Each row is the row template filled in.  The last text may hold fewer.
+    The rows of a run differ only in c1_power and degree, which follow from
+    k = |mask| and the c1-power.  So the rows of a slice of at most _BATCH
+    c1-powers are one template, split at the subset, and one str.join with
+    the subset renders them.  The last template made for each k is kept,
+    since every mask with that k has the same run in an image.
     """
     subset_text = _subset_text(n)
     templates = {}  # k -> (a slice of c1-powers, its rows split at the subset)
@@ -165,7 +177,7 @@ def _basis_rows(runs, n: int):
             template = templates.get(k)
             if template is None or template[0] != part:
                 degrees = range(k + 2 * part.start, k + 2 * part.stop, 2)
-                template = templates[k] = part, ",".join(map(_ROW.format, part, degrees)).split("@")
+                template = templates[k] = part, ",".join(map(row.format, part, degrees)).split("@")
             texts.append(subset.join(template[1]))
             rows += len(part)
             if rows >= _BATCH:
@@ -198,18 +210,12 @@ def _cmd_cup_table(ns) -> dict:
 def _ordinary_basis_rows(specs, n: int):
     """The JSON rows of ``locimage.ordinary_basis``, the sectors of specs in turn, as texts of up to _BATCH rows.
 
-    A row depends on its mask only through the subset and k = |mask|, so it
-    is a head made once for each (sector, k), then the subset.
+    A class is a run of one c1-power, the least for its sector and k = |mask|.
     """
-    subset_text = _subset_text(n)
-    masks = range(1 << n)
     for spec in specs:
-        heads = [
-            f'{{"c1_power":{spec.min_c1_power(k)},"coeff":"1","sector":"{spec.sector.value}","subset":'
-            for k in range(n + 1)
-        ]
-        for start in range(0, len(masks), _BATCH):
-            yield ",".join([f"{heads[mask.bit_count()]}{subset_text(mask)}}}" for mask in masks[start : start + _BATCH]])
+        least = [range(power, power + 1) for power in map(spec.min_c1_power, range(n + 1))]
+        row = '{{"c1_power":{},"coeff":"1","sector":"' + spec.sector.value + '","subset":@}}'
+        yield from _basis_rows(((mask, least[mask.bit_count()]) for mask in range(1 << n)), n, row)
 
 
 def _cmd_orbit(ns) -> dict:
@@ -230,7 +236,7 @@ def _cmd_verify(ns) -> dict:
     results = checks.run_verify(ns.n_max)
     return {
         "n_max": ns.n_max,
-        "checks": [r.to_json() for r in results],
+        "checks": [r._asdict() for r in results],
         "passed": all(r.passed for r in results),
     }
 
@@ -571,13 +577,8 @@ def _render_csv(payload, outs):
     _write(_csv_chunks(payload), outs)
 
 
-def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: the bytes do not depend on PYTHONINTMAXSTRDIGITS
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    _validate(ns)
-
+def _respond(ns) -> int:
+    """Write the response to the parsed request to stdout, from the cache or computed; return the exit code."""
     use_cache = not ns.no_cache and ns.command not in _VERDICTS
     if use_cache:
         path = _entry_path(ns)
@@ -605,6 +606,18 @@ def main(argv=None) -> int:
     if ns.command in _VERDICTS and not payload["passed"]:
         return 1
     return 0
+
+
+def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: the bytes do not depend on PYTHONINTMAXSTRDIGITS
+        sys.set_int_max_str_digits(0)
+    ns = build_parser().parse_args(argv)
+    _validate(ns)
+    try:
+        return _respond(ns)
+    except BrokenPipeError:  # the reader of stdout has gone, as under `| head`; a temp entry is already discarded
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so that the flush at exit cannot fail again
+        return 141  # what a shell reports for SIGPIPE
 
 
 if __name__ == "__main__":

@@ -140,19 +140,24 @@ class FactorizationReport(namedtuple("FactorizationReport", "n degree_bound fail
         return self.failures[0] if self.failures else None
 
 
+def default_degree_bound(n: int) -> int:
+    """The degree bound 2n + 6 of an image enumerated for n generators when none is asked for."""
+    return 2 * n + 6
+
+
 def factorization_check(n: int) -> FactorizationReport:
     """Compare direct localization images against their product factorizations.
 
     The regular image on n+1 tuple slots must match (regular on n slots)
     tensor (regular on 2 slots); the singular image must match (regular on
     n+1 slots) tensor (the n = 0 singular image).  Both are checked run by
-    run up to the degree bound, a differing run named by its first basis
-    element, and symbolically through Hilbert series, which also pins down
-    the eventually periodic tail.  The degree bound is 2n + 6.
+    run up to ``default_degree_bound(n)``, a differing run named by its first
+    basis element, and symbolically through Hilbert series, which also pins
+    down the eventually periodic tail.
     """
     if n < 1:
         raise ValueError("factorization requires n >= 1")
-    bound = 2 * n + 6
+    bound = default_degree_bound(n)
     failures = []
     for variant in (Variant.REGULAR, Variant.SINGULAR):
         for sector in (Sector.PLUS, Sector.MINUS):

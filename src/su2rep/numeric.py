@@ -226,8 +226,7 @@ class VarietySample:
 
     @property
     def expected_dimension(self) -> int:
-        n = self.target.n
-        return 3 * n + 2 if self.target.kind is TargetKind.GENERIC else 3 * n
+        return self.target.dimension
 
 
 def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0) -> VarietySample:

@@ -16,8 +16,8 @@ The factors 1 - t, 1 + t and 1 + t^2 of 1 - t^4 are monic, so every division
 the package makes is exact over Z.  Equality, hashing, sums, differences,
 products and Taylor coefficients work on N alone; no polynomial gcd is taken
 on those paths.  The coprime canonical form (denominator primitive with a
-positive leading coefficient) is computed only when a function is printed or
-serialized, by ``to_json`` and ``str``.
+positive leading coefficient) is made only for output, by ``RatFn.reduced``,
+which ``str`` and the CLI, the renderer of every value, read.
 
 All values are immutable after construction and every operation is a pure
 function, so the types here are safe for unrestricted concurrent use.
@@ -26,6 +26,7 @@ function, so the types here are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 
 class NotPolynomialError(ValueError):
@@ -99,9 +100,9 @@ class RatPoly:
     def coefficient(self, exp: int) -> int:
         return self._coeffs[exp] if 0 <= exp < len(self._coeffs) else 0
 
-    def items(self) -> list[tuple[int, int]]:
-        """Nonzero coefficients as (exponent, value) pairs in ascending order."""
-        return [(exp, c) for exp, c in enumerate(self._coeffs) if c]
+    def items(self) -> Iterator[tuple[int, int]]:
+        """Nonzero coefficients as (exponent, value) pairs in ascending order, each made when it is asked for."""
+        return ((exp, c) for exp, c in enumerate(self._coeffs) if c)
 
     def dense_coefficients(self) -> list[int]:
         """Coefficient list c0..c_deg; [0] for the zero polynomial."""
@@ -222,20 +223,6 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({self})"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> list:
-        """JSON form: [exponent, numerator-string, denominator-string] triples.
-
-        Integers are emitted as decimal strings so arbitrary precision
-        survives any JSON consumer; every denominator is "1".
-        """
-        return list(self.iter_json())
-
-    def iter_json(self):
-        """The triples of ``to_json``, each made when it is asked for."""
-        return ([exp, str(coeff), "1"] for exp, coeff in enumerate(self._coeffs) if coeff)
 
 
 def _trimmed(coeffs: list[int]) -> tuple[int, ...]:
@@ -376,14 +363,15 @@ class RatFn:
     def __bool__(self):
         return not self._num.is_zero
 
-    def _reduced(self) -> tuple[RatPoly, RatPoly]:
+    def reduced(self) -> tuple[RatPoly, RatPoly]:
+        """The coprime (numerator, denominator), the denominator primitive with a positive leading coefficient."""
         # The primitive gcd g divides t^4 - 1 = (t - 1)(t + 1)(t^2 + 1), so it is
         # monic and both divisions are exact over Z.
         g = poly_gcd(self._num, _ONE_MINUS_T4)
         return -poly_divmod(self._num, g)[0], poly_divmod(-_ONE_MINUS_T4, g)[0]
 
     def __str__(self):
-        num, den = self._reduced()
+        num, den = self.reduced()
         if den == RatPoly.one():
             return str(num)
         return f"({num}) / ({den})"
@@ -409,11 +397,3 @@ class RatFn:
             acc = self._num.coefficient(k)
             out.append(acc + out[k - 4] if k >= 4 else acc)
         return out
-
-    def to_json(self) -> dict:
-        return {key: list(triples) for key, triples in self.iter_json().items()}
-
-    def iter_json(self) -> dict:
-        """The form of ``to_json``, reduced at the call, with an iterator of its triples for each list."""
-        num, den = self._reduced()
-        return {"numerator": num.iter_json(), "denominator": den.iter_json()}

@@ -55,6 +55,11 @@ class SurfaceTarget(namedtuple("SurfaceTarget", "kind n")):
         return self.kind is not TargetKind.GENERIC
 
     @property
+    def dimension(self) -> int:
+        """Real dimension of the variety: 3n, and 2 more for a generic class, a 2-sphere."""
+        return 3 * self.n + (2 if self.kind is TargetKind.GENERIC else 0)
+
+    @property
     def variant(self) -> Variant:
         """Regular/singular classification; only central targets have one."""
         if self.kind is TargetKind.CENTRAL_PLUS:

@@ -225,6 +225,95 @@ def test_kunneth_fails_on_a_tensor_table_off_at_one_mask(capsys, monkeypatch):
     }
 
 
+def _off_at(args, extra):
+    """A fault: the real value plus extra at args, the real value elsewhere."""
+    return lambda real: lambda *given: real(*given) + extra if given == args else real(*given)
+
+
+def _moved_degree(real):
+    """A fault: degree 1 of X1-regular moves from the minus sector to the plus one; every total stays right."""
+
+    def sectors(target):
+        plus, minus = real(target)
+        return (plus + RatPoly.t(), minus - RatPoly.t()) if target == SurfaceTarget.regular(1) else (plus, minus)
+
+    return sectors
+
+
+def _dropped_run(real):
+    """A fault: X1-regular's plus image loses its run over the empty subset."""
+    spec = locimage.ImageSpec(1, Variant.REGULAR, Sector.PLUS)
+    return lambda given, bound: islice(real(given, bound), 1, None) if given == spec else real(given, bound)
+
+
+def _extra_bidegree(real):
+    """A fault: the n = 2 singular count gains a class in bidegree (9, 9)."""
+
+    def counts(n, variant):
+        return {**real(n, variant), (9, 9): 1} if (n, variant) == (2, Variant.SINGULAR) else real(n, variant)
+
+    return counts
+
+
+_GENERIC_2 = (SurfaceTarget.generic(2),)
+_NEGATIVE_AT_50 = _off_at(_GENERIC_2, -RatPoly.t(50))  # both orbit routes agree on it
+_SINGULAR_0_PLUS = (locimage.ImageSpec(0, Variant.SINGULAR, Sector.PLUS),)
+
+
+@pytest.mark.parametrize(
+    "faults, check, detail",
+    [
+        pytest.param(
+            [(surfaces, "poincare_sectors", _moved_degree)],
+            "localization-image-series", "series n=1 regular/plus; series n=1 regular/minus", id="series",
+        ),
+        pytest.param(
+            [(locimage, "iter_image_runs", _dropped_run)],
+            "localization-image-series", "basis-count n=1 regular/plus", id="basis-count",
+        ),
+        pytest.param(
+            [(surfaces, "gxt_equivariant_series", _off_at(_GENERIC_2, 1))],
+            "weyl-invariant-series", "n=2 generic", id="weyl",
+        ),
+        pytest.param(
+            [(surfaces, "orbit_poincare", _off_at(_GENERIC_2, 1))],
+            "orbit-space-poincare", "constant-term n=2 generic", id="constant-term",
+        ),
+        pytest.param(
+            [(surfaces, "orbit_poincare", _off_at((SurfaceTarget.central_minus(1),), RatPoly.t(2)))],
+            "orbit-space-poincare", "spot-value X1-regular orbit", id="spot-value",
+        ),
+        pytest.param(
+            [(surfaces, "orbit_poincare_direct", _NEGATIVE_AT_50), (surfaces, "orbit_poincare_assembled", _NEGATIVE_AT_50)],
+            "orbit-space-poincare", "n=2 generic: orbit-space polynomial has a bad coefficient -1 at degree 50",
+            id="bad-coefficient",
+        ),
+        pytest.param(
+            [(surfaces, "poincare", _off_at((SurfaceTarget.regular(2),), RatPoly.t()))],
+            "poincare-duality-euler", "duality n=2", id="duality",
+        ),
+        pytest.param(
+            [(surfaces, "euler_characteristic", _off_at((SurfaceTarget.singular(1),), 1))],
+            "poincare-duality-euler", "euler n=1", id="euler",
+        ),
+        pytest.param(
+            [(locimage, "bigraded_generating_function", _extra_bidegree)],
+            "bigrading", "generating-function n=2 singular", id="generating-function",
+        ),
+        pytest.param(  # a term past every degree bound: the runs still agree, the series do not
+            [(locimage, "image_hilbert_series", _off_at(_SINGULAR_0_PLUS, RatPoly.t(40)))],
+            "kunneth-factorization",
+            "n=1: singular/plus: Hilbert series disagree; n=2: singular/plus: Hilbert series disagree",
+            id="kunneth-series",
+        ),
+    ],
+)
+def test_a_planted_fault_fails_its_check_with_its_detail(capsys, monkeypatch, faults, check, detail):
+    for module, name, fault in faults:
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert _failed_checks(capsys, 2)[check] == detail
+
+
 def test_recursion_names_the_broken_step(capsys, monkeypatch):
     real = surfaces.poincare
     broken = SurfaceTarget.singular(3)
@@ -594,6 +683,26 @@ def test_failed_cache_store_leaves_no_temp_file(capsys, isolated_cache, monkeypa
     assert list(isolated_cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["no-cache", "miss", "hit"])
+def test_closed_stdout_exits_141_quietly(tmp_path, mode):
+    # The reader stops after 100 of some 800,000 bytes, as `| head -c 100` does.
+    argv = [sys.executable, "-m", "su2rep.cli", "betti", "--n", "1000", "--target", "plus"]
+    argv += ["--no-cache"] if mode == "no-cache" else []
+    cache = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(cache)}
+    if mode == "hit":
+        subprocess.run(argv, stdout=subprocess.DEVNULL, env=env, check=True)
+    stored = {path.name: path.read_bytes() for path in cache.glob("*")}
+    with (tmp_path / "stderr").open("wb") as stderr:
+        reader = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=env)
+        head = reader.stdout.read(100)
+        reader.stdout.close()
+        code = reader.wait(timeout=60)
+    assert (code, (tmp_path / "stderr").read_bytes(), len(head)) == (141, b"", 100)
+    assert {path.name: path.read_bytes() for path in cache.glob("*")} == stored  # no temp file, no partial entry
+    assert len(stored) == (mode == "hit")
+
+
 # -- the streaming writer --------------------------------------------------------------
 
 
@@ -744,7 +853,7 @@ def test_localization_rows_match_json_dumps(variant, sector):
                 )
                 for batch in (2, cli._BATCH):  # runs cut into slices and texts, and whole
                     with mock.patch.object(cli, "_BATCH", batch):
-                        texts = list(cli._basis_rows(runs(), n))
+                        texts = list(cli._basis_rows(runs(), n, cli._IMAGE_ROW))
                     assert all(texts)
                     assert ",".join(texts) == expected
 
@@ -1043,8 +1152,8 @@ def test_failed_cache_write_mid_stream_keeps_the_output(capsys, isolated_cache, 
 
 
 def test_interrupted_stream_leaves_no_cache_file(capsys, isolated_cache, monkeypatch):
-    def failing_rows(basis, n):
-        yield from islice(real_rows(basis, n), 10)
+    def failing_rows(runs, n, row):
+        yield from islice(real_rows(runs, n, row), 10)
         raise KeyboardInterrupt
 
     real_rows = cli._basis_rows

@@ -1,9 +1,11 @@
 import functools
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from su2rep import locimage
 from su2rep.exterior import ENUMERATION_CAP, Sector
@@ -378,6 +380,39 @@ def test_minus_pairing_is_perfect_for_small_n():
     for n in range(5):
         matrix = minus_pairing_matrix(n)
         assert matrix_rank_exact(matrix) == 1 << n
+
+
+@pytest.mark.parametrize(
+    "matrix, rank",
+    [([[1, 2], [2, 4]], 1), ([[2, 4, 6], [1, 3, 5], [3, 7, 11]], 2), ([[0, 3], [2, 1]], 2), ([], 0)],
+)
+def test_rank_by_elimination(matrix, rank):
+    assert matrix_rank_exact(matrix) == rank
+
+
+def fraction_rank(matrix) -> int:
+    """Rank over Q by textbook Gaussian elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for r in range(rank + 1, len(rows)):
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+            rank += 1
+    return rank
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=5)
+)
+
+
+@given(small_matrices)
+def test_rank_matches_fraction_elimination(matrix):
+    assert matrix_rank_exact(matrix) == fraction_rank(matrix)
 
 
 def test_plus_subring_matches_exterior_structure_constants():

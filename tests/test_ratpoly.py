@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from su2rep import cli
 from su2rep.ratpoly import (
     NotPolynomialError,
     RatFn,
@@ -60,6 +62,11 @@ def period_divisors(draw):
 def from_json(triples) -> RatPoly:
     assert all(den == "1" for _, _, den in triples)
     return RatPoly({e: int(num) for e, num, _ in triples})
+
+
+def cli_json(value):
+    """What the CLI writes for a payload value, read back."""
+    return json.loads("".join(cli._json_chunks(value)))
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -183,7 +190,7 @@ def test_product_leaving_the_domain_raises():
 
 def test_denominator_is_primitive_with_positive_lead():
     f = RatFn(-one - t(), one - t())
-    assert f.to_json() == {"numerator": (one + t()).to_json(), "denominator": (-one + t()).to_json()}
+    assert f.reduced() == (one + t(), -one + t())
 
 
 # -- property tests -------------------------------------------------------------
@@ -214,8 +221,9 @@ def test_equality_matches_cross_multiplication(a, b, c, d):
 @given(polys(), period_divisors())
 def test_json_form_is_coprime_and_primitive(p, q):
     f = RatFn(p, q)
-    form = f.to_json()
+    form = cli_json(cli._series(f))
     num, den = from_json(form["numerator"]), from_json(form["denominator"])
+    assert (num, den) == f.reduced()
     assert poly_gcd(num, den) == one
     assert math.gcd(*(c for _, c in den.items())) == 1
     assert den.leading_coefficient() > 0
@@ -264,10 +272,10 @@ def test_coefficients_stay_ints(p, q, n_max):
 
 def test_json_triples_are_decimal_free_strings():
     p = RatPoly({0: -7, 3: 10**30})
-    assert p.to_json() == [[0, "-7", "1"], [3, str(10**30), "1"]]
+    assert cli_json(cli._triples(p.items())) == [[0, "-7", "1"], [3, str(10**30), "1"]]
     # canonical form flips signs so the denominator leads positively
     f = RatFn(one, one - t(2))
-    assert f.to_json() == {
+    assert cli_json(cli._series(f)) == {
         "numerator": [[0, "-1", "1"]],
         "denominator": [[0, "-1", "1"], [2, "1", "1"]],
     }
