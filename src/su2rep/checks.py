@@ -25,7 +25,7 @@ CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 def _named(name: str):
-    """Report a check's failure strings, or the error it raised, as one CheckResult."""
+    """Report a check's failure strings, or the error it raised, as one CheckResult: the first 4, then a count."""
 
     def decorate(check):
         @functools.wraps(check)
@@ -34,7 +34,8 @@ def _named(name: str):
                 failures = check(*args, **kwargs)
             except Exception as exc:  # any fault is reported by name; it must not end the run
                 failures = [f"{type(exc).__name__}: {exc}"]
-            return CheckResult(name, not failures, "; ".join(failures[:4]))
+            more = [f"+{len(failures) - 4} more"] if len(failures) > 4 else []
+            return CheckResult(name, not failures, "; ".join([*failures[:4], *more]))
 
         return run
 
@@ -177,7 +178,7 @@ def check_duality_euler(n_max: int) -> list[str]:
         expected = 2 if n == 0 else 0
         for target in (SurfaceTarget.regular(n), SurfaceTarget.singular(n)):
             if surfaces.euler_characteristic(target) != expected:
-                failures.append(f"euler n={n}")
+                failures.append(f"euler n={n} {target.variant.value}")
     return failures
 
 

@@ -5,14 +5,12 @@ sorted keys (default) or as a flattened path,value CSV carrying the same
 content.  ``main`` makes the envelope of the report (schema, command, and n
 and target where the command takes them) and a handler adds its own fields.
 The report is a payload: a tree of dicts and lists in which a large list may
-be a ``LazyList``, whose parts are made only while they are written, each as
-one chunk.  A LazyList holds either texts of one or more rows (basis rows,
-_BATCH or more at a time, or the cup-table entries of one left factor) or
-items: the coefficients or the [exp, coeff, "1"] triples of a series, read
-from a polynomial computed before the walk, encoded _BATCH at a time for
-JSON and flattened as they are for CSV.  Series, verdicts and basis rows
-become text here alone; only the cup-table entries come as texts, from
-``locimage``.  One writer walks the payload once and streams its text in
+be a ``LazyList``, made only while it is written: the coefficients or
+[exp, coeff, "1"] triples of a series, or the rows of an enumeration.  CSV
+flattens its values; JSON encodes them _BATCH at a time, or writes its texts,
+made faster from the same source (basis rows from str.format templates,
+cup-table entries by left factor).  Values become text here alone and are
+never parsed back.  One writer walks the payload once and streams its text in
 chunks, so no report is held whole.  Errors are raised before the walk
 starts, so a failed request writes nothing.
 
@@ -45,6 +43,7 @@ import operator
 import os
 import re
 import sys
+from collections import namedtuple
 from itertools import chain, islice, starmap, zip_longest
 from pathlib import Path
 
@@ -123,7 +122,7 @@ def _cmd_localization_image(ns) -> dict:
         sectors[sector.value] = {
             "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
             "hilbert_series": _series(locimage.image_hilbert_series(spec)),
-            "basis": LazyList(_basis_rows(locimage.iter_image_runs(spec, bound), spec.n, _IMAGE_ROW)),
+            "basis": _image_basis(locimage.iter_image_runs(spec, bound), spec.n),
         }
     return {"variety": target.variant.value, "degree_bound": bound, "sectors": sectors}
 
@@ -142,8 +141,26 @@ def _triples(pairs) -> LazyList:
     return LazyList(items=([exp, str(coeff), "1"] for exp, coeff in pairs))
 
 
-# A row template: str.format fills in the c1-power and the degree, and "@" marks where the subset goes.
+# Row templates: str.format fills in the c1-power and the degree, "@" marks where the subset goes and "#" the sector.
 _IMAGE_ROW = '{{"c1_power":{},"degree":{},"subset":@}}'
+_ORDINARY_ROW = '{{"c1_power":{},"coeff":"1","sector":"#","subset":@}}'
+
+
+def _image_basis(runs, n: int) -> LazyList:
+    """The rows of runs of (mask, c1-powers): dicts whose subset list is made once per mask, and _IMAGE_ROW texts."""
+    rows = (
+        {"c1_power": l, "degree": k + 2 * l, "subset": subset}
+        for mask, powers in runs
+        if powers
+        for k, subset in [(mask.bit_count(), _subset(mask, n))]
+        for l in powers
+    )
+    return LazyList(rows, _basis_rows(runs, n, _IMAGE_ROW))
+
+
+def _subset(mask: int, n: int) -> list[int]:
+    """The subset of 1..n that mask marks."""
+    return [i + 1 for i in range(n) if mask >> i & 1]
 
 
 def _subset_text(n: int):
@@ -201,21 +218,34 @@ def _cmd_cup_table(ns) -> dict:
     specs = [locimage.ImageSpec(ns.n, target.variant, sector) for sector in (Sector.PLUS, Sector.MINUS)]
     return {
         "variety": target.variant.value,
-        "basis": LazyList(_ordinary_basis_rows(specs, ns.n)),
-        "table": LazyList(entries),
+        "basis": _ordinary_basis(specs, ns.n),
+        "table": _cup_entries(entries),
         "reduced_cup_product_trivial": True if target.variant.value == "singular" else None,
     }
 
 
-def _ordinary_basis_rows(specs, n: int):
-    """The JSON rows of ``locimage.ordinary_basis``, the sectors of specs in turn, as texts of up to _BATCH rows.
+def _ordinary_basis(specs, n: int) -> LazyList:
+    """The rows of ``locimage.ordinary_basis``, the sectors of specs in turn: dicts, and texts of up to _BATCH rows.
 
     A class is a run of one c1-power, the least for its sector and k = |mask|.
     """
-    for spec in specs:
-        least = [range(power, power + 1) for power in map(spec.min_c1_power, range(n + 1))]
-        row = '{{"c1_power":{},"coeff":"1","sector":"' + spec.sector.value + '","subset":@}}'
-        yield from _basis_rows(((mask, least[mask.bit_count()]) for mask in range(1 << n)), n, row)
+    sectors = [(spec.sector.value, [range(l, l + 1) for l in map(spec.min_c1_power, range(n + 1))]) for spec in specs]
+    rows = (
+        {"c1_power": least[mask.bit_count()].start, "coeff": "1", "sector": sector, "subset": _subset(mask, n)}
+        for sector, least in sectors
+        for mask in range(1 << n)
+    )
+    texts = (
+        _basis_rows(((mask, least[mask.bit_count()]) for mask in range(1 << n)), n, _ORDINARY_ROW.replace("#", sector))
+        for sector, least in sectors
+    )
+    return LazyList(rows, chain.from_iterable(texts))
+
+
+def _cup_entries(entries) -> LazyList:
+    """The entries [i, j, k, coeff] of the (i, [(j, k, coeff), ...]) groups of a cup walk, as one text per group."""
+    texts = (f"[{i}," + f"],[{i},".join(["%d,%d,%d" % entry for entry in products]) + "]" for i, products in entries)
+    return LazyList(([i, j, k, coeff] for i, products in entries for j, k, coeff in products), texts)
 
 
 def _cmd_orbit(ns) -> dict:
@@ -437,39 +467,29 @@ def _cache_store(entry: _CacheEntry):
 # -- rendering ---------------------------------------------------------------
 #
 # A payload is a tree of dicts (str keys), lists, ints, strs, bools and None,
-# where a list may be a ``LazyList``.
+# where a list may be a ``LazyList``, but not one inside a plain list.
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _BATCH = 1024  # rows per text of a long run, or CSV rows, per chunk
 _COPY = 1 << 16  # bytes per chunk of a cache hit
 
 
-class LazyList:
-    """A list given in parts that are made while the output is written, one chunk each.
+class LazyList(namedtuple("LazyList", "items texts", defaults=(None,))):
+    """A list made while it is written: items, the values CSV flattens, and optional texts, the same list's JSON.
 
-    Either texts, each the canonical JSON of one or more consecutive items
-    joined by commas and never empty, or items, the values themselves, which
-    JSON encodes _BATCH at a time and CSV flattens as they are, so a big
-    integer is turned into text once.
+    Each text is one chunk of one or more consecutive items joined by commas, never empty, made from the
+    same source as the items.  A request writes one format, so it reads only one of the two.
     """
-
-    def __init__(self, texts=None, items=None):
-        self._texts = texts
-        self.items = items
-
-    @property
-    def texts(self):
-        if self.items is None:
-            return self._texts
-        items = iter(self.items)
-        return (_encode(batch)[1:-1] for batch in iter(lambda: list(islice(items, _BATCH)), []))
 
 
 def _json_chunks(value):
     """The text of json.dumps(value, sort_keys=True, separators=(",", ":")), in pieces."""
     if isinstance(value, LazyList):
+        texts, items = value.texts, iter(value.items)
+        if texts is None:  # the items, encoded _BATCH at a time
+            texts = (_encode(batch)[1:-1] for batch in iter(lambda: list(islice(items, _BATCH)), []))
         head = "["
-        for text in value.texts:
+        for text in texts:
             yield head + text
             head = ","
         yield "]" if head == "," else "[]"
@@ -482,20 +502,7 @@ def _json_chunks(value):
             head = ","
         yield "}" if head == "," else "{}"
         return
-    try:
-        text = _encode(value)
-    except TypeError:  # a LazyList inside: walk down to it
-        if not isinstance(value, (list, tuple)):
-            raise
-    else:
-        yield text
-        return
-    head = "["
-    for item in value:
-        yield head
-        yield from _json_chunks(item)
-        head = ","
-    yield "]" if head == "," else "[]"
+    yield _encode(value)  # no LazyList below a plain list
 
 
 def _flatten(payload, prefix: str = ""):
@@ -511,7 +518,7 @@ def _flatten(payload, prefix: str = ""):
         for key, value in items:
             if type(value) is int:  # the common leaf (a bool is not exactly int)
                 yield f"{head}{key}", str(value)
-            elif type(value) is str:
+            elif isinstance(value, str):
                 yield f"{head}{key}", value
             elif isinstance(value, dict):
                 path = f"{head}{key}"
@@ -521,17 +528,12 @@ def _flatten(payload, prefix: str = ""):
                 stack.append((f"{head}{key}/", enumerate(value)))
                 break
             elif isinstance(value, LazyList):
-                rows = value.items
-                if rows is None:
-                    rows = chain.from_iterable(json.loads(f"[{text}]") for text in value.texts)
-                stack.append((f"{head}{key}/", enumerate(rows)))
+                stack.append((f"{head}{key}/", enumerate(value.items)))
                 break
             elif isinstance(value, bool):
                 yield f"{head}{key}", "true" if value else "false"
             elif value is None:
                 yield f"{head}{key}", "null"
-            elif isinstance(value, str):
-                yield f"{head}{key}", value
             else:
                 yield f"{head}{key}", json.dumps(value)
         else:

@@ -19,7 +19,6 @@ predicate test.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterator
@@ -290,48 +289,45 @@ def cup_survival(n: int, variant: Variant) -> dict[tuple[Sector, Sector], list[l
     return surviving
 
 
-def iter_cup_entries(n: int, variant: Variant) -> Iterator[str]:
-    """The nonzero entries [i, j, k, coeff] of ``cup_table`` as JSON, one text per left factor i that has any.
+def iter_cup_entries(n: int, variant: Variant) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
+    """The nonzero entries of ``cup_table`` as (i, [(j, k, coeff), ...]) per left factor i that has any, in order.
 
-    A text is the entries of its left factor, in the order of j, joined by
-    commas.  ``cup_survival`` runs at the call, so an escape raises before
-    any entry is made.  The walk visits, for each left factor and right
-    sector, only the submasks of the complement whose size survives.
+    ``cup_survival`` runs at the call, so an escape raises before any entry
+    is made.  The walk visits, for each left factor and right sector, only
+    the submasks of the complement whose size survives.
     """
     check_enumeration_cap(n)
     return _cup_walk(n, cup_survival(n, variant))
 
 
-def _cup_walk(n: int, surviving: dict) -> Iterator[str]:
+def _cup_walk(n: int, surviving: dict) -> Iterator[tuple[int, list[tuple[int, int, int]]]]:
     offset = {Sector.PLUS: 0, Sector.MINUS: 1 << n}
     full = (1 << n) - 1
     for sector_a in Sector:
         # (index of the right sector's first class, of the product's, surviving sizes by k_a)
         right = [(offset[b], offset[sector_a * b], surviving[sector_a, b]) for b in Sector]
         for mask in range(1 << n):
-            head, complement, k_a = f"[{offset[sector_a] + mask},", full ^ mask, mask.bit_count()
-            rows = []
+            complement, k_a = full ^ mask, mask.bit_count()
+            products = []
             for j0, k0, sizes in right:
-                submasks = _submasks(complement, sizes[k_a])
                 k = k0 + mask  # b is disjoint from mask, so the product's mask is mask + b
-                rows += [f"{head}{j0 + b},{k + b},{koszul_sign(mask, b)}]" for b in submasks]
-            if rows:
-                yield ",".join(rows)
+                products += [(j0 + b, k + b, koszul_sign(mask, b)) for b in _submasks(complement, sizes[k_a])]
+            if products:
+                yield offset[sector_a] + mask, products
 
 
 def cup_table(n: int, variant: Variant) -> dict:
-    """Full multiplication table over the canonical basis, JSON-ready.
+    """Full multiplication table over the canonical basis, as plain values.
 
-    Entries are (i, j, k, coeff) with basis indices into ``basis`` and only
+    Entries are [i, j, k, coeff] with basis indices into ``basis`` and only
     nonzero products listed, in the order of (i, j): the entries of
     ``iter_cup_entries``, whose products are those of ``cup_product``.
     """
-    entries = iter_cup_entries(n, variant)
     return {
         "n": n,
         "target": variant.value,
         "basis": [cls.to_json() for cls in ordinary_basis(n, variant)],
-        "table": json.loads(f"[{','.join(entries)}]"),
+        "table": [[i, j, k, coeff] for i, products in iter_cup_entries(n, variant) for j, k, coeff in products],
     }
 
 

@@ -294,7 +294,11 @@ _SINGULAR_0_PLUS = (locimage.ImageSpec(0, Variant.SINGULAR, Sector.PLUS),)
         ),
         pytest.param(
             [(surfaces, "euler_characteristic", _off_at((SurfaceTarget.singular(1),), 1))],
-            "poincare-duality-euler", "euler n=1", id="euler",
+            "poincare-duality-euler", "euler n=1 singular", id="euler",
+        ),
+        pytest.param(
+            [(surfaces, "euler_characteristic", _off_at((SurfaceTarget.regular(1),), 1))],
+            "poincare-duality-euler", "euler n=1 regular", id="euler-regular",
         ),
         pytest.param(
             [(locimage, "bigraded_generating_function", _extra_bidegree)],
@@ -312,6 +316,13 @@ def test_a_planted_fault_fails_its_check_with_its_detail(capsys, monkeypatch, fa
     for module, name, fault in faults:
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
     assert _failed_checks(capsys, 2)[check] == detail
+
+
+def test_a_detail_counts_the_failures_it_leaves_out(capsys, monkeypatch):
+    real = surfaces.poincare
+    monkeypatch.setattr(surfaces, "poincare", lambda target: real(target) + int(target.kind is TargetKind.GENERIC))
+    detail = _failed_checks(capsys, 12)["formality-dimension"]
+    assert detail == "n=0 generic; n=1 generic; n=2 generic; n=3 generic; +9 more"
 
 
 def test_recursion_names_the_broken_step(capsys, monkeypatch):
@@ -751,15 +762,15 @@ _plain = st.recursive(
 
 
 def _lazy(items) -> LazyList:
-    return LazyList(tuple(json.dumps(item, sort_keys=True, separators=(",", ":")) for item in items))
+    return LazyList(items, tuple(json.dumps(item, sort_keys=True, separators=(",", ":")) for item in items))
 
 
-# (payload that may hold lazy lists, the same payload with every list materialized)
+# (payload that may hold lazy lists, the same payload with every list materialized); no handler
+# puts a lazy list inside a plain list, so only dicts hold them.
 _payloads = st.recursive(
-    _scalars.map(lambda value: (value, value)),
+    _plain.map(lambda value: (value, value)),
     lambda inner: (
-        st.lists(inner, max_size=4).map(lambda pairs: ([p for p, _ in pairs], [m for _, m in pairs]))
-        | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(
+        st.dictionaries(st.text(max_size=4), inner, max_size=4).map(
             lambda d: ({k: p for k, (p, _) in d.items()}, {k: m for k, (_, m) in d.items()})
         )
         | st.lists(_plain, max_size=5).map(lambda items: (_lazy(items), items))
@@ -853,7 +864,7 @@ def test_localization_rows_match_json_dumps(variant, sector):
                 )
                 for batch in (2, cli._BATCH):  # runs cut into slices and texts, and whole
                     with mock.patch.object(cli, "_BATCH", batch):
-                        texts = list(cli._basis_rows(runs(), n, cli._IMAGE_ROW))
+                        texts = list(cli._image_basis(runs(), n).texts)
                     assert all(texts)
                     assert ",".join(texts) == expected
 
@@ -865,23 +876,59 @@ def test_ordinary_basis_rows_match_json_dumps(variant):
         expected = [cls.to_json() for cls in locimage.ordinary_basis(n, variant)]
         for batch in (2, cli._BATCH):
             with mock.patch.object(cli, "_BATCH", batch):
-                texts = list(cli._ordinary_basis_rows(specs, n))
+                texts = list(cli._ordinary_basis(specs, n).texts)
             assert all(texts)
             assert ",".join(texts) == reference_json(expected)[1:-2]
 
 
-_SERIES_LINES = [
+def _lists_with_texts():
+    """(name, a function that makes a fresh LazyList) for every kind of list that has texts beside its items."""
+    for n in range(7):
+        for variant in Variant:
+            specs = [locimage.ImageSpec(n, variant, sector) for sector in (Sector.PLUS, Sector.MINUS)]
+            yield f"cup-table basis n={n} {variant.value}", lambda n=n, specs=specs: cli._ordinary_basis(specs, n)
+            yield f"cup-table entries n={n} {variant.value}", lambda n=n, variant=variant: cli._cup_entries(
+                locimage.iter_cup_entries(n, variant)
+            )
+            if n > 5:  # image bases up to n = 5
+                continue
+            for spec in specs:
+                for bound in (0, 3, 2 * n + 6, 60):
+                    name = f"n={n} {variant.value}/{spec.sector.value} bound={bound}"
+                    yield f"image basis {name}", lambda n=n, spec=spec, bound=bound: cli._image_basis(
+                        locimage.iter_image_runs(spec, bound), n
+                    )
+                    yield f"uneven runs {name}", lambda n=n, bound=bound: cli._image_basis(_uneven_runs(n, bound), n)
+
+
+def test_texts_of_a_lazy_list_are_the_json_of_its_items():
+    # JSON reads texts and CSV reads items: the two formats must carry the same list.
+    for name, make in _lists_with_texts():
+        for batch in (2, cli._BATCH):
+            with mock.patch.object(cli, "_BATCH", batch):
+                texts = list(make().texts)
+                items = list(make().items)
+            assert all(texts), name
+            assert ",".join(texts) == cli._encode(items)[1:-1], name
+
+
+_STREAMED_LINES = [
     "betti --n 40 --target plus",
     "bigraded --n 20 --target minus",
     "equivariant --n 30 --target generic",
     "orbit --n 30 --target plus",
+    "cup-table --n 3 --target plus",
+    "localization-image --n 3 --target minus",
+    "localization-image --n 2 --target plus --degree-bound 3000",
 ]
 
 
 def test_csv_of_a_streamed_series_parses_no_json(capsys, monkeypatch):
-    # CSV takes the items of a series as they are; parsing its JSON texts
-    # back would turn each coefficient into text three times.
-    expected = {line: reference_csv(json.loads(run(capsys, *line.split(), "--no-cache")[1])) for line in _SERIES_LINES}
+    # CSV takes the items of a series or an enumeration as they are; parsing
+    # JSON texts back would turn each value into text three times.
+    expected = {
+        line: reference_csv(json.loads(run(capsys, *line.split(), "--no-cache")[1])) for line in _STREAMED_LINES
+    }
 
     def parse(*args, **kwargs):
         raise AssertionError("a streamed list was parsed back")

@@ -31,6 +31,19 @@ def test_namespace_is_lazy():
     assert result.stdout.split("\n") == ["[]", "True", "True", ""]
 
 
+def test_the_exact_layer_loads_no_output_format():
+    # checks loads every exact module; only cli turns values into text.
+    code = (
+        "import sys, su2rep.checks\n"
+        "print(sorted(m for m in sys.modules if m.startswith('su2rep.')))\n"
+        "print('json' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True)
+    loaded = [f"su2rep.{name}" for name in ("checks", "exterior", "locimage", "ratpoly", "surfaces", "targets")]
+    assert result.stdout.split("\n") == [str(loaded), "False", ""]
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(su2rep, "no_such_name")
