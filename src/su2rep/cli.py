@@ -29,7 +29,8 @@ always come from the running code.
 
 Exit codes: 0 success, 1 mathematical inconsistency (a cross-check failed,
 which means a bug, never bad input), 2 usage error, 141 stdout closed by its
-reader before the report was written.
+reader before the report was written, 143 SIGTERM (a miss removes its temp
+entry first).
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ from .targets import ENUMERATION_CAP, ConsistencyError, SurfaceTarget, TargetKin
 SCHEMA_VERSION = 1
 
 _KINDS = {kind.value: kind for kind in TargetKind}
-_CENTRAL_ONLY = {"bigraded", "localization-image", "cup-table"}
-# Verdicts are recomputed on every run, never cached: a cached "passed" would
-# outlive the code that earned it.  A failed one exits 1.
-_VERDICTS = {"verify", "numeric-check"}
 # An entry is "<source digest>-<request key>.json"; older code wrote "<request key>.json".
 _ENTRY_NAME = re.compile("([0-9a-f]{64}-)?[0-9a-f]{64}[.]json")
 
@@ -280,16 +277,32 @@ def _cmd_numeric_check(ns) -> dict:
     return {"seed": ns.seed, "checks": rows, "passed": all(row["pass"] for row in rows)}
 
 
-_HANDLERS = {
-    "betti": _cmd_betti,
-    "bigraded": _cmd_bigraded,
-    "equivariant": _cmd_equivariant,
-    "localization-image": _cmd_localization_image,
-    "cup-table": _cmd_cup_table,
-    "orbit": _cmd_orbit,
-    "verify": _cmd_verify,
-    "numeric-check": _cmd_numeric_check,
+# A command: its handler, its help, and its traits.  target: it takes --n and --target.  central: it is
+# defined for central targets only.  capped: its --n is under the enumeration cap.  options: its own
+# options, as (flag, default, least value) triples.  verdict: it is recomputed on every run, never
+# cached, since a cached "passed" would outlive the code that earned it; a failed one exits 1.
+Command = namedtuple(
+    "Command", "handler help target central capped options verdict", defaults=(True, False, False, (), False)
+)
+_COMMANDS = {
+    "betti": Command(_cmd_betti, "Betti numbers and sector split"),
+    "bigraded": Command(_cmd_bigraded, "two-variable Poincare polynomial", central=True),
+    "equivariant": Command(_cmd_equivariant, "equivariant Poincare series"),
+    "localization-image": Command(
+        _cmd_localization_image, "fixed-locus image bases and series", central=True, capped=True,
+        options=(("--degree-bound", None, 0),),
+    ),
+    "cup-table": Command(_cmd_cup_table, "cup-product structure constants", central=True, capped=True),
+    "orbit": Command(_cmd_orbit, "orbit-space Poincare polynomial"),
+    "verify": Command(
+        _cmd_verify, "run the full consistency suite", target=False, options=(("--n-max", 8, 1),), verdict=True
+    ),
+    "numeric-check": Command(
+        _cmd_numeric_check, "quaternion geometry oracle", target=False, options=(("--seed", 0, 0),), verdict=True
+    ),
 }
+# bench/traced.py wraps the values of _HANDLERS, so _respond calls a handler through it.
+_HANDLERS = {name: command.handler for name, command in _COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,53 +311,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact cohomology tables for SU(2) representation varieties of nonorientable surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, with_target=True, with_seed=False, with_bound=False):
-        if with_target:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help + (" (central targets)" if command.central else ""))
+        if command.target:
             p.add_argument("--n", type=int, required=True, help="cross-cap count minus one (tuple length - 1)")
             p.add_argument("--target", choices=sorted(_KINDS), required=True)
-        if with_bound:
-            p.add_argument("--degree-bound", type=int, default=None)
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0)
+        for flag, default, _ in command.options:
+            p.add_argument(flag, type=int, default=default)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--no-cache", action="store_true")
         p.set_defaults(parser=p)  # usage errors are reported by the subcommand's own parser
-
-    add_common(sub.add_parser("betti", help="Betti numbers and sector split"))
-    add_common(sub.add_parser("bigraded", help="two-variable Poincare polynomial (central targets)"))
-    add_common(sub.add_parser("equivariant", help="equivariant Poincare series"))
-    add_common(
-        sub.add_parser("localization-image", help="fixed-locus image bases and series (central targets)"),
-        with_bound=True,
-    )
-    add_common(sub.add_parser("cup-table", help="cup-product structure constants (central targets)"))
-    add_common(sub.add_parser("orbit", help="orbit-space Poincare polynomial"))
-
-    verify = sub.add_parser("verify", help="run the full consistency suite")
-    verify.add_argument("--n-max", type=int, default=8)
-    add_common(verify, with_target=False)
-
-    numeric_p = sub.add_parser("numeric-check", help="quaternion geometry oracle")
-    add_common(numeric_p, with_target=False, with_seed=True)
     return parser
 
 
 def _validate(ns):
     error = ns.parser.error
-    if getattr(ns, "n", None) is not None:
+    command = _COMMANDS[ns.command]
+    if command.target:
         if ns.n < 0:
             error("--n must be non-negative")
-        if ns.command in {"localization-image", "cup-table"}:
-            if ns.n > ENUMERATION_CAP:
-                error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
-    if getattr(ns, "degree_bound", None) is not None and ns.degree_bound < 0:
-        error("--degree-bound must be non-negative")
-    if getattr(ns, "n_max", None) is not None and ns.n_max < 1:
-        error("--n-max must be at least 1")
-    if getattr(ns, "seed", None) is not None and ns.seed < 0:
-        error("--seed must be non-negative")
-    if ns.command in _CENTRAL_ONLY and ns.target == "generic":
+        if command.capped and ns.n > ENUMERATION_CAP:
+            error(f"--n exceeds the enumeration cap {ENUMERATION_CAP} for {ns.command}")
+    for flag, _, least in command.options:
+        value = getattr(ns, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            error(f"{flag} must be " + ("non-negative" if least == 0 else f"at least {least}"))
+    if command.central and ns.target == "generic":
         error(f"{ns.command} is defined for central targets only (--target plus or minus)")
 
 
@@ -412,13 +404,18 @@ class _CacheEntry:
     """An entry being written: a temp file beside it, committed by ``_cache_store``.
 
     Caching is best effort only: an OSError drops the temp file, never the output.
+    Until ``discard``, SIGTERM exits with 143, what a shell reports for it, so the
+    temp file goes as it does on an error.
     """
 
     def __init__(self, path: Path):
-        import tempfile  # only a cache miss writes an entry
+        import signal  # only a cache miss has a temp file to remove
+        import tempfile
 
         self.path = path
         self.tmp = self.handle = None
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        self.restore = lambda: previous is None or signal.signal(signal.SIGTERM, previous)  # None: set outside Python
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, self.tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -443,6 +440,7 @@ class _CacheEntry:
             with contextlib.suppress(OSError):
                 os.unlink(self.tmp)
             self.tmp = None
+        self.restore()
 
 
 def _cache_store(entry: _CacheEntry):
@@ -581,7 +579,8 @@ def _render_csv(payload, outs):
 
 def _respond(ns) -> int:
     """Write the response to the parsed request to stdout, from the cache or computed; return the exit code."""
-    use_cache = not ns.no_cache and ns.command not in _VERDICTS
+    command = _COMMANDS[ns.command]
+    use_cache = not ns.no_cache and not command.verdict
     if use_cache:
         path = _entry_path(ns)
         hit = _cache_load(path)
@@ -605,9 +604,7 @@ def _respond(ns) -> int:
     finally:
         if entry is not None:
             entry.discard()
-    if ns.command in _VERDICTS and not payload["passed"]:
-        return 1
-    return 0
+    return 1 if command.verdict and not payload["passed"] else 0
 
 
 def main(argv=None) -> int:

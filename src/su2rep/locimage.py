@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
-from .targets import ConsistencyError, Variant
+from .targets import MEMO_SIZE, ConsistencyError, Variant
 
 
 class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
@@ -52,7 +52,7 @@ class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
         return _min_c1_powers(self.n, self.variant, self.sector)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
     """The least admissible c1-power above each exterior degree k = 0..n: the three cases of the module docstring."""
     if sector is Sector.PLUS:

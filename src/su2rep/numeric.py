@@ -12,7 +12,7 @@ report is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -106,12 +106,10 @@ def fixed_point_residual(point) -> float:
     return float(np.max(np.hypot(point[..., 2], point[..., 3])))
 
 
-@dataclass(frozen=True)
-class SqrtFiber:
-    """Solutions of h*h = g: two antipodal points, or a 2-sphere when g = -1."""
+class SqrtFiber(namedtuple("SqrtFiber", "kind points", defaults=(None,))):
+    """Solutions of h*h = g: kind "two_points", the antipodal pair in points, or "two_sphere" when g = -1."""
 
-    kind: str  # "two_points" or "two_sphere"
-    points: np.ndarray | None = None
+    __slots__ = ()
 
     def sphere_point(self, axis):
         """Point of the sphere fiber at a given unit imaginary direction."""
@@ -136,13 +134,13 @@ def sqrt_fiber(g) -> SqrtFiber:
     return SqrtFiber("two_points", np.stack([root, -root]))
 
 
-@dataclass(frozen=True)
-class ChartReport:
-    samples: int
-    max_relation_residual: float
-    max_equivariance_residual: float
-    min_output_separation: float
-    min_input_separation: float
+class ChartReport(
+    namedtuple(
+        "ChartReport",
+        "samples max_relation_residual max_equivariance_residual min_output_separation min_input_separation",
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -213,12 +211,11 @@ def _min_separation(rows) -> float:
     return float(least)
 
 
-@dataclass(frozen=True)
-class VarietySample:
-    target: SurfaceTarget
-    points: np.ndarray = field(repr=False)
-    local_dimensions: np.ndarray = field(repr=False)
-    max_constraint_residual: float
+class VarietySample(namedtuple("VarietySample", "target points local_dimensions max_constraint_residual")):
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # without the arrays
+        return f"VarietySample(target={self.target!r}, max_constraint_residual={self.max_constraint_residual!r})"
 
     @property
     def count(self) -> int:

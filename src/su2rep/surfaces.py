@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .exterior import fixed_point_poincare
 from .ratpoly import NotPolynomialError, RatFn, RatPoly, poly_reciprocal
-from .targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
+from .targets import MEMO_SIZE, ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
 _ONE_PLUS_T = RatPoly({0: 1, 1: 1})
@@ -49,7 +49,7 @@ def _binomial_power(n: int, sign: int = 1, step: int = 1, shift: int = 0) -> Rat
     return RatPoly._dense(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def poincare_sectors(target: SurfaceTarget) -> tuple[RatPoly, RatPoly]:
     """Poincare polynomials of the plus and minus sectors of the involution."""
     n = target.n

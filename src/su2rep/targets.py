@@ -20,6 +20,10 @@ from enum import Enum
 #: Enumerations over all 2**n exterior monomials refuse to run past this size.
 ENUMERATION_CAP = 16
 
+#: Entries kept by each memo keyed by caller input, ``surfaces.poincare_sectors`` and
+#: ``locimage._min_c1_powers``; a ``verify --n-max 12`` run asks them for 39 and 52 keys.
+MEMO_SIZE = 64
+
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed: the library, never the input, is wrong."""

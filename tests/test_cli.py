@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -441,7 +442,7 @@ def test_cache_hit_loads_no_computing_module(tmp_path):
 def test_numeric_check_loads_no_exact_module(tmp_path):
     _, loaded = _loaded_by(tmp_path, "numeric-check --seed 0")
     assert "su2rep.numeric" in loaded
-    assert not loaded & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly"}
+    assert not loaded & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly", "dataclasses"}
 
 
 def test_verify_loads_no_numpy(tmp_path):
@@ -508,6 +509,19 @@ def test_usage_error_shows_the_subcommand_usage(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"usage: su2rep {argv[0]} " in capsys.readouterr().err
+
+
+def test_help_and_usage_errors_match_golden(monkeypatch):
+    # argparse wraps its text to COLUMNS; the golden was recorded at 80.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads((ROOT / "tests" / "golden" / "cli_help.json").read_text())
+    for line, expected in golden.items():
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        assert {"code": exc.value.code, "stderr": err.getvalue(), "stdout": out.getvalue()} == expected, line
 
 
 def test_cap_enforced_for_enumerating_commands(capsys):
@@ -712,6 +726,19 @@ def test_closed_stdout_exits_141_quietly(tmp_path, mode):
     assert (code, (tmp_path / "stderr").read_bytes(), len(head)) == (141, b"", 100)
     assert {path.name: path.read_bytes() for path in cache.glob("*")} == stored  # no temp file, no partial entry
     assert len(stored) == (mode == "hit")
+
+
+def test_sigterm_during_a_miss_leaves_no_temp_file(tmp_path):
+    argv = [sys.executable, "-m", "su2rep.cli", "cup-table", "--n", "13", "--target", "plus"]
+    cache = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(cache)}
+    with (tmp_path / "stderr").open("wb") as stderr:
+        writer = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=env)
+        head = writer.stdout.read(100)  # the miss is writing its temp entry
+        writer.terminate()
+        writer.communicate(timeout=60)  # drain what the exit flushes
+    assert (writer.returncode, (tmp_path / "stderr").read_bytes(), len(head)) == (128 + signal.SIGTERM, b"", 100)
+    assert list(cache.iterdir()) == []
 
 
 # -- the streaming writer --------------------------------------------------------------
@@ -1083,6 +1110,13 @@ def test_betti_holds_the_sectors_and_no_sum(monkeypatch, fmt):
     assert code == 0
     assert sink.count > 7_000_000
     assert peak < 3 * 2**20, f"peak {peak} bytes"
+
+
+def test_betti_builds_its_sectors_once(capsys):
+    # The handler and euler_characteristic share one entry of poincare_sectors.
+    surfaces.poincare_sectors.cache_clear()
+    assert run(capsys, "betti", "--n", "5", "--target", "plus", "--no-cache")[0] == 0
+    assert surfaces.poincare_sectors.cache_info()[:2] == (1, 1)
 
 
 def test_localization_image_cache_hit_memory_does_not_grow_with_output(monkeypatch):

@@ -28,7 +28,7 @@ from su2rep.locimage import (
 )
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.surfaces import bigraded_poincare, poincare, poincare_sectors
-from su2rep.targets import ConsistencyError, SurfaceTarget, Variant
+from su2rep.targets import MEMO_SIZE, ConsistencyError, SurfaceTarget, Variant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,6 +166,17 @@ def test_equal_image_specs_share_lru_cache_entries():
     image_basis(second, 8)
     info = locimage._min_c1_powers.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_min_c1_memo_is_bounded_and_a_repeated_key_hits():
+    locimage._min_c1_powers.cache_clear()
+    for n in range(100):
+        for sector in Sector:
+            ImageSpec(n, Variant.REGULAR, sector).min_c1_power(0)
+    info = locimage._min_c1_powers.cache_info()
+    assert info.currsize == info.maxsize == MEMO_SIZE
+    ImageSpec(99, Variant.REGULAR, Sector.MINUS).min_c1_power(0)
+    assert locimage._min_c1_powers.cache_info()[:2] == (info.hits + 1, info.misses)
 
 
 def test_factorization_hand_case_n1():

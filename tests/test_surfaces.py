@@ -20,7 +20,7 @@ from su2rep.surfaces import (
     recursion_verify,
     specialize_total_degree,
 )
-from su2rep.targets import SurfaceTarget, TargetKind, Variant
+from su2rep.targets import MEMO_SIZE, SurfaceTarget, TargetKind, Variant
 
 t = RatPoly.t
 one = RatPoly.one()
@@ -112,6 +112,16 @@ def test_plus_sector_is_ambient_tuple_cohomology():
         for make in (SurfaceTarget.regular, SurfaceTarget.singular):
             plus, _ = poincare_sectors(make(n))
             assert plus == (one + t(3)) ** n
+
+
+def test_sector_memo_is_bounded_and_a_repeated_target_hits():
+    poincare_sectors.cache_clear()
+    for n in range(200):
+        poincare_sectors(SurfaceTarget.regular(n))
+    info = poincare_sectors.cache_info()
+    assert info.currsize == info.maxsize == MEMO_SIZE
+    poincare_sectors(SurfaceTarget.regular(199))
+    assert poincare_sectors.cache_info()[:2] == (info.hits + 1, info.misses)
 
 
 def test_binomial_rows_match_generic_powers():
