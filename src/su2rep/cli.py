@@ -23,7 +23,7 @@ computing nothing.  An entry is named by a digest of the package source,
 which covers the package version, and a key of the parsed request, every
 option and the format included, so an entry written by other code or for
 another request never matches; a store removes the entries of other source
-digests.
+digests and the temp files of misses that were killed, once an hour old.
 ``verify`` and ``numeric-check`` never read or write it, so their verdicts
 always come from the running code.
 
@@ -55,6 +55,8 @@ SCHEMA_VERSION = 1
 _KINDS = {kind.value: kind for kind in TargetKind}
 # An entry is "<source digest>-<request key>.json"; older code wrote "<request key>.json".
 _ENTRY_NAME = re.compile("([0-9a-f]{64}-)?[0-9a-f]{64}[.]json")
+# A store removes temp files this much older than its entry, left by a killed miss; a younger one may be writing.
+_STALE_TEMP_S = 3600
 
 
 def _target(ns) -> SurfaceTarget:
@@ -444,7 +446,7 @@ class _CacheEntry:
 
 
 def _cache_store(entry: _CacheEntry):
-    """End the temp file with the key line, rename it into place, then evict the entries written by other code."""
+    """End the temp file with the key line, rename it into place, then evict other code's entries and stale temp files."""
     entry.write(entry.path.stem[65:] + "\n")
     if entry.handle is None:
         return
@@ -455,8 +457,13 @@ def _cache_store(entry: _CacheEntry):
         entry.handle = None
         os.replace(entry.tmp, entry.path)
         entry.tmp = None
+        stale = entry.path.stat().st_mtime - _STALE_TEMP_S  # the file system's clock, which dates the temp files
         for other in directory.iterdir():
-            if _ENTRY_NAME.fullmatch(other.name) and not other.name.startswith(digest):
+            if other.suffix == ".tmp":
+                with contextlib.suppress(OSError):  # a miss that ends meanwhile removes or renames its own
+                    if other.stat().st_mtime < stale:
+                        other.unlink()
+            elif _ENTRY_NAME.fullmatch(other.name) and not other.name.startswith(digest):
                 other.unlink(missing_ok=True)
     except OSError:
         entry.discard()

@@ -60,8 +60,14 @@ class SurfaceTarget(namedtuple("SurfaceTarget", "kind n")):
 
     @property
     def dimension(self) -> int:
-        """Real dimension of the variety: 3n, and 2 more for a generic class, a 2-sphere."""
-        return 3 * self.n + (2 if self.kind is TargetKind.GENERIC else 0)
+        """Real dimension of the variety: 3n, and 2 more for a generic class, a 2-sphere.
+
+        A singular fiber also holds the tuples of pure imaginary units, (S^2)^(n+1),
+        so its dimension is at least 2n + 2, which exceeds 3n for n <= 1.
+        """
+        if self.kind is TargetKind.GENERIC:
+            return 3 * self.n + 2
+        return max(3 * self.n, 2 * self.n + 2) if self.variant is Variant.SINGULAR else 3 * self.n
 
     @property
     def variant(self) -> Variant:

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -442,7 +443,14 @@ def test_cache_hit_loads_no_computing_module(tmp_path):
 def test_numeric_check_loads_no_exact_module(tmp_path):
     _, loaded = _loaded_by(tmp_path, "numeric-check --seed 0")
     assert "su2rep.numeric" in loaded
-    assert not loaded & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly", "dataclasses"}
+    assert not loaded & {"su2rep.surfaces", "su2rep.exterior", "su2rep.ratpoly", "dataclasses", "numpy.random"}
+
+
+def test_numeric_check_is_byte_identical_in_fresh_processes(tmp_path):
+    argv = [sys.executable, "-m", "su2rep.cli", "numeric-check", "--seed", "3"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path)}
+    first, second = (subprocess.run(argv, capture_output=True, env=env, check=True).stdout for _ in range(2))
+    assert first == second and json.loads(first)["passed"] is True
 
 
 def test_verify_loads_no_numpy(tmp_path):
@@ -585,6 +593,19 @@ def test_cache_entry_from_other_code_is_not_served(tmp_path):
     [stored] = set((tmp_path / "cache").iterdir()) - {unrelated}
     assert stored.name[:64] != entry.name[:64]
     assert not entry.exists() and not flat_entry.exists() and unrelated.exists()
+
+
+def test_a_store_sweeps_temp_files_of_killed_misses(capsys, isolated_cache):
+    isolated_cache.mkdir()
+    old, fresh = isolated_cache / "tmpold.tmp", isolated_cache / "tmpfresh.tmp"
+    old.write_text("[1,")
+    fresh.write_text("[2,")
+    now = time.time()
+    os.utime(old, (now - cli._STALE_TEMP_S - 60, now - cli._STALE_TEMP_S - 60))
+    os.utime(fresh, (now - cli._STALE_TEMP_S + 60, now - cli._STALE_TEMP_S + 60))  # may be a miss still writing
+    assert run(capsys, "betti", "--n", "1", "--target", "plus")[0] == 0
+    assert not old.exists() and fresh.exists()
+    assert len(list(isolated_cache.glob("*.json"))) == 1
 
 
 def _cut_mid_row(text):

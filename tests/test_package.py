@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -42,6 +43,51 @@ def test_the_exact_layer_loads_no_output_format():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True)
     loaded = [f"su2rep.{name}" for name in ("checks", "exterior", "locimage", "ratpoly", "surfaces", "targets")]
     assert result.stdout.split("\n") == [str(loaded), "False", ""]
+
+
+def _numpy_random_references(source: str) -> list[int]:
+    """Lines of source that import numpy.random or read .random off a name bound to numpy."""
+    tree, lines, numpy_names = ast.parse(source), [], {"np", "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names |= {alias.asname for alias in node.names if alias.name == "numpy" and alias.asname}
+            if any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")
+            if module[:2] == ["numpy", "random"] or module == ["numpy"] and "random" in {a.name for a in node.names}:
+                lines.append(node.lineno)
+    for node in ast.walk(tree):  # a second walk, once every alias of numpy is known
+        if isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in numpy_names:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy.random",
+        "import numpy.random.bit_generator as b",
+        "from numpy.random import default_rng",
+        "from numpy import linalg, random",
+        "import numpy as np\nrng = np.random.default_rng(0)",
+        "import numpy as xp\nxp.random.seed(0)",
+        "import numpy\nnumpy.random",
+    ],
+)
+def test_numpy_random_scan_sees_each_form(source):
+    assert _numpy_random_references(source)
+
+
+def test_no_module_references_numpy_random():
+    # The oracle draws from numeric.SeededStream; numpy.random costs a process 6 MB and its streams may change.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "su2rep").glob("*.py"))
+        if (lines := _numpy_random_references(path.read_text()))
+    }
+    assert found == {}
+    assert not _numpy_random_references("import numpy as np\nimport random\nrandom.Random(0)\nnp.linalg")
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -47,6 +47,16 @@ def test_generic_target_has_no_variant():
         _ = SurfaceTarget.generic(2).variant
 
 
+def test_poincare_degree_is_the_printed_dimension():
+    # singular fibers at n <= 1 hold (S^2)^(n+1), of dimension 2n + 2 > 3n
+    for n in range(13):
+        for kind in ALL_KINDS:
+            target = SurfaceTarget(kind, n)
+            assert poincare(target).degree() == target.dimension, target
+    assert SurfaceTarget.central_minus(0).dimension == 2
+    assert SurfaceTarget.central_plus(1).dimension == 4
+
+
 def test_target_validation():
     with pytest.raises(ValueError):
         SurfaceTarget.regular(-1)
