@@ -352,28 +352,20 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "su2rep"
 
 
-def _source_digest() -> str:
-    """sha256 over the bytes of every su2rep/*.py file, in sorted name order."""
+def _entry_path(ns) -> Path:
+    """Where the request's entry lives, named by two sha256 digests.
+
+    The source digest covers the bytes of every su2rep/*.py file, in sorted name
+    order, and the request key every parsed option, the format included.
+    """
     import hashlib  # only the cache path hashes
 
-    digest = hashlib.sha256()
+    source = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _request_key(ns) -> str:
-    """sha256 of the parsed request: every option, the format included."""
-    import hashlib
-
+        source.update(path.read_bytes())
     fields = {key: value for key, value in vars(ns).items() if key not in ("parser", "no_cache")}
-    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _entry_path(ns) -> Path:
-    """Where the request's entry lives; the file name starts with the source digest."""
-    return _cache_dir() / f"{_source_digest()}-{_request_key(ns)}.json"
+    request = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode())
+    return _cache_dir() / f"{source.hexdigest()}-{request.hexdigest()}.json"
 
 
 def _cache_load(path: Path):

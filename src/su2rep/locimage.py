@@ -206,10 +206,6 @@ class OrdClass(namedtuple("OrdClass", "n variant sector mask")):
         return _min_c1_powers(self.n, self.variant, self.sector)[self.k]
 
     @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.k, 2 * self.c1_power)
-
-    @property
     def degree(self) -> int:
         return self.k + 2 * self.c1_power
 

@@ -1,10 +1,10 @@
 """Floating-point oracle for the finite-dimensional geometry.
 
-The symbolic modules own the topology; this module samples the varieties as
-sets of unit-quaternion tuples and checks the geometric facts the closed
-forms rest on: the product-of-squares map and its differential, square-root
-fibers, the sphere-times-circle chart of the first regular variety, and
-fixed-point/dimension diagnostics.
+The symbolic modules own the topology; this module draws unit-quaternion
+tuples and checks the geometric facts the closed forms rest on: the
+product-of-squares map and the rank of its differential, square-root fibers,
+the sphere-times-circle chart of the first regular variety, and the
+torus-fixed locus.
 
 Randomness is always drawn from a ``SeededStream``, an explicitly seeded
 stream built on the standard library's Mersenne Twister, so every report is
@@ -19,7 +19,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import quaternions as quat
-from .targets import SurfaceTarget, TargetKind
 
 #: Residual tolerance used by the pass/fail checks.
 RESIDUAL_TOL = 1e-10
@@ -62,11 +61,6 @@ class SeededStream:
         radius = np.sqrt(-2.0 * np.log1p(-u))
         angle = 2.0 * np.pi * v
         return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count].reshape(size)
-
-    def choice(self, options, size=()):
-        """Entries of ``options`` drawn uniformly."""
-        options = np.asarray(options)
-        return options[(self.random(size) * len(options)).astype(int)]
 
 
 def box(points):
@@ -243,69 +237,6 @@ def _min_separation(rows) -> float:
         block[own, start + own] = np.inf
         least = min(least, block.min())
     return float(least)
-
-
-class VarietySample(namedtuple("VarietySample", "target points local_dimensions max_constraint_residual")):
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # without the arrays
-        return f"VarietySample(target={self.target!r}, max_constraint_residual={self.max_constraint_residual!r})"
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def expected_dimension(self) -> int:
-        return self.target.dimension
-
-
-def sample_variety(n: int, target_kind: TargetKind, count: int, seed: int = 0) -> VarietySample:
-    """Draw points of the variety and estimate the local dimension at each.
-
-    The tail entries are Haar distributed and the 0th entry solves the fiber
-    equation through the square-root map; when the required square is the
-    degenerate value -1 the extra sphere parameter is drawn uniformly.  The
-    local dimension is 3(n+1) minus the numerical rank of the constraint
-    differential (all three rows for a central class, the trace row for a
-    generic class).
-    """
-    if count <= 0:
-        raise ValueError("need at least one sample")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    target = SurfaceTarget(target_kind, n)
-    rng = SeededStream(seed)
-    tail = quat.random_unit(rng, (count, n)) if n else np.zeros((count, 0, 4))
-    tail_product = box(tail) if n else np.broadcast_to(quat.IDENTITY, (count, 4)).copy()
-
-    if target_kind is TargetKind.CENTRAL_PLUS:
-        values = np.broadcast_to(quat.IDENTITY, (count, 4))
-    elif target_kind is TargetKind.CENTRAL_MINUS:
-        values = np.broadcast_to(quat.MINUS_IDENTITY, (count, 4))
-    else:
-        # Trace-zero conjugacy class: uniform pure imaginary unit values.
-        values = np.concatenate([np.zeros((count, 1)), quat.random_axis(rng, count)], axis=1)
-
-    needed_square = quat.mul(values, quat.conj(tail_product))
-    near_minus = quat.dist(needed_square, quat.MINUS_IDENTITY) <= SPHERE_TOL
-    roots = quat.principal_sqrt(needed_square)
-    sphere = np.concatenate([np.zeros((count, 1)), quat.random_axis(rng, count)], axis=1)
-    zeroth = np.where(near_minus[:, None], sphere, roots)
-    signs = rng.choice([-1.0, 1.0], size=(count, 1))
-    zeroth = zeroth * signs
-    points = np.concatenate([zeroth[:, None, :], tail], axis=1)
-
-    if target_kind is TargetKind.GENERIC:
-        residual = float(np.max(np.abs(quat.trace(box(points)) - quat.trace(values))))
-        differential = box_differential(points)
-        row = np.einsum("ni,nij->nj", box(points)[:, 1:], differential)
-        ranks = (np.linalg.norm(row, axis=-1) > RANK_TOL).astype(int)
-    else:
-        residual = float(np.max(quat.dist(box(points), values)))
-        ranks = box_differential_rank(points)
-    dims = 3 * (n + 1) - ranks
-    return VarietySample(target, points, dims, residual)
 
 
 def numeric_check_suite(seed: int = 0) -> list[dict]:

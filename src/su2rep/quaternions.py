@@ -48,11 +48,6 @@ def square(q):
     return mul(q, q)
 
 
-def trace(q):
-    """Trace of the corresponding special unitary matrix: 2w."""
-    return 2.0 * np.asarray(q, dtype=float)[..., 0]
-
-
 def exp_im(v):
     """Exponential of an imaginary quaternion given as a 3-vector."""
     v = np.asarray(v, dtype=float)

@@ -81,10 +81,6 @@ class SurfaceTarget(namedtuple("SurfaceTarget", "kind n")):
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def central_plus(cls, n: int) -> "SurfaceTarget":
-        return cls(TargetKind.CENTRAL_PLUS, n)
-
-    @classmethod
     def central_minus(cls, n: int) -> "SurfaceTarget":
         return cls(TargetKind.CENTRAL_MINUS, n)
 

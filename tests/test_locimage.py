@@ -247,7 +247,7 @@ def test_ordinary_basis_n0():
     regular = ordinary_basis(0, Variant.REGULAR)
     assert [(c.sector, c.degree) for c in regular] == [(Sector.PLUS, 0), (Sector.MINUS, 0)]
     singular = ordinary_basis(0, Variant.SINGULAR)
-    assert [(c.sector, c.bidegree) for c in singular] == [
+    assert [(c.sector, (c.k, 2 * c.c1_power)) for c in singular] == [
         (Sector.PLUS, (0, 0)),
         (Sector.MINUS, (0, 2)),
     ]

@@ -6,22 +6,23 @@ import pytest
 
 from su2rep import quaternions as quat
 from su2rep.numeric import (
+    RANK_TOL,
     ChartReport,
     SeededStream,
     box,
+    box_differential,
     box_differential_rank,
     box_singular_values,
     conjugate_tuple,
     fixed_point_residual,
     flip_zeroth,
     numeric_check_suite,
-    sample_variety,
     singular_example,
     sqrt_fiber,
     x1r_chart,
     x1r_chart_check,
 )
-from su2rep.targets import TargetKind
+from su2rep.targets import SurfaceTarget, TargetKind
 
 RNG = np.random.default_rng(12345)
 
@@ -205,38 +206,35 @@ def test_fixed_point_residual_after_conjugation():
     assert fixed_point_residual(moved) > 1e-3
 
 
-# -- variety sampling ----------------------------------------------------------------------
+# -- dimension at smooth points ------------------------------------------------
 
 
-def test_sample_regular_one_crosscap_dimension():
-    sample = sample_variety(1, TargetKind.CENTRAL_MINUS, 200, seed=1)
-    assert sample.max_constraint_residual < 1e-9
-    assert np.all(sample.local_dimensions == 3)
-    assert sample.expected_dimension == 3
-
-
-def test_sample_regular_two_crosscap_dimension():
-    sample = sample_variety(2, TargetKind.CENTRAL_PLUS, 200, seed=2)
-    assert np.all(sample.local_dimensions == 6)
-
-
-def test_sample_zero_crosscaps_regular_is_finite():
-    sample = sample_variety(0, TargetKind.CENTRAL_PLUS, 100, seed=3)
-    assert np.all(sample.local_dimensions == 0)
-    assert np.all(np.isclose(np.abs(sample.points[:, 0, 0]), 1.0))
-
-
-def test_sample_zero_crosscaps_singular_is_sphere():
-    sample = sample_variety(0, TargetKind.CENTRAL_MINUS, 100, seed=4)
-    assert sample.expected_dimension == 2
-    assert np.all(sample.local_dimensions == sample.expected_dimension)
-    assert np.max(np.abs(sample.points[:, 0, 0])) < 1e-9  # purely imaginary roots
-
-
-def test_sample_generic_dimension():
-    sample = sample_variety(1, TargetKind.GENERIC, 200, seed=5)
-    assert np.all(sample.local_dimensions == 5)
-    assert sample.expected_dimension == 5
+@pytest.mark.parametrize(
+    "target, points",
+    [
+        (SurfaceTarget.regular(0), [I]),
+        (SurfaceTarget.regular(0), [quat.MINUS_IDENTITY]),
+        (SurfaceTarget.singular(0), singular_example(0)),
+        (SurfaceTarget.regular(1), x1r_chart(np.eye(3), [0.3, 1.0, 2.0])),
+        (SurfaceTarget.regular(2), [I, I, I]),
+        (SurfaceTarget.generic(1), [quat.principal_sqrt(J), I]),
+    ],
+    ids=["regular-0-at-1", "regular-0-at-minus-1", "singular-0-at-j", "regular-1-chart", "regular-2-at-1", "generic-1"],
+)
+def test_dimension_is_the_tuple_dimension_less_the_constraint_rank(target, points):
+    # 3(n+1) minus the rank of the constraint differential: all three rows for a
+    # central class, only the trace row for a generic class
+    points = np.asarray(points, dtype=float)
+    values, differential = box(points), box_differential(points)
+    if target.is_central:
+        center = I if target.kind is TargetKind.CENTRAL_PLUS else quat.MINUS_IDENTITY
+        assert np.allclose(values, center)
+        ranks = box_differential_rank(points)
+    else:
+        assert np.allclose(values[..., 0], 0.0)  # trace zero
+        trace_row = np.einsum("...i,...ij->...j", values[..., 1:], differential)
+        ranks = (np.linalg.norm(trace_row, axis=-1) > RANK_TOL).astype(int)
+    assert np.all(3 * (target.n + 1) - ranks == target.dimension)
 
 
 def test_seeded_stream_is_pinned():
@@ -245,7 +243,6 @@ def test_seeded_stream_is_pinned():
     assert SeededStream(0).random() == (random.Random(0).getrandbits(64) >> 11) / 2**53
     assert SeededStream(0).standard_normal(3).tolist() == [0.9546981644685173, 2.0528436906007133, 0.24822438615934558]
     assert SeededStream(0).uniform(-1.0, 1.0, 2).tolist() == [-0.22950938397812592, 0.7804878366915295]
-    assert SeededStream(0).choice([-1.0, 1.0], size=(2, 1)).tolist() == [[-1.0], [1.0]]
 
 
 def test_seeded_stream_draws_have_the_right_shape_range_and_moments():
@@ -256,14 +253,8 @@ def test_seeded_stream_draws_have_the_right_shape_range_and_moments():
     normals = rng.standard_normal((20_001,))
     assert normals.shape == (20_001,)
     assert abs(normals.mean()) < 0.05 and abs(normals.std() - 1.0) < 0.05
-    assert set(rng.choice([-1.0, 1.0], size=50).tolist()) == {-1.0, 1.0}
     unit = quat.random_unit(rng, (10, 3))
     assert unit.shape == (10, 3, 4) and np.allclose(np.linalg.norm(unit, axis=-1), 1.0)
-
-
-def test_sample_rejects_bad_count():
-    with pytest.raises(ValueError):
-        sample_variety(1, TargetKind.CENTRAL_MINUS, 0)
 
 
 def test_numeric_suite_all_pass():

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,100 @@ def test_no_module_references_numpy_random():
     }
     assert found == {}
     assert not _numpy_random_references("import numpy as np\nimport random\nrandom.Random(0)\nnp.linalg")
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Besides src/, only these files keep a name reached: the acceptance suite, which is never
+# edited, and the benchmark's wrappers. A name that other tests alone use is an orphan.
+_REACH_READERS = ("tests/test_acceptance.py", "bench/traced.py")
+
+
+def _used_name(node):
+    """The name that node uses: a name, an attribute, or a string constant that may spell one."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _uses(nodes) -> set:
+    """The names used under nodes, without entering a nested definition."""
+    found, stack = set(), list(nodes)
+    while stack:
+        node = stack.pop()
+        found.add(_used_name(node))
+        stack.extend(child for child in ast.iter_child_nodes(node) if not isinstance(child, _DEFINITIONS))
+    return found
+
+
+def _unreached(root: Path) -> list:
+    """Qualified names of the functions, classes and methods of root's su2rep/*.py that no use reaches.
+
+    Module-level code, decorators, base classes (less a class's own name, which a
+    namedtuple base repeats) and the whole of each ``_REACH_READERS`` file use names
+    from the start, and a dunder is reached, since Python calls it. A definition whose
+    name is used is reached, and then the names its own body uses count too.
+    """
+    used = {_used_name(node) for path in _REACH_READERS for node in ast.walk(ast.parse((root / path).read_text()))}
+    pending = []  # (qualified name, name, names its body uses)
+
+    def collect(prefix, node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, _DEFINITIONS):
+                collect(prefix, child)
+                continue
+            used.update(_uses(child.decorator_list))
+            if isinstance(child, ast.ClassDef):
+                used.update(_uses(child.bases + child.keywords) - {child.name})
+            pending.append((prefix + child.name, child.name, _uses([child])))
+            collect(f"{prefix}{child.name}.", child)
+
+    for path in sorted((root / "src" / "su2rep").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used.update(_uses([tree]))
+        collect(f"{path.stem}.", tree)
+    while reached := [entry for entry in pending if entry[1] in used or entry[1][:2] == entry[1][-2:] == "__"]:
+        pending = [entry for entry in pending if entry not in reached]
+        for _, _, body_uses in reached:
+            used |= body_uses
+    return sorted(qualified for qualified, _, _ in pending)
+
+
+def test_every_definition_is_reached():
+    # A function, class or method that no command, check or acceptance import reaches is dead code.
+    assert _unreached(ROOT) == []
+
+
+@pytest.mark.parametrize(
+    "planted, test_file, expected",
+    [
+        ("def planted_orphan(values):\n    return sorted(values)\n", None, ["numeric.planted_orphan"]),
+        # the type-name string of a namedtuple base is not a use of the class
+        ("class Planted(namedtuple('Planted', 'value')):\n    __slots__ = ()\n", None, ["numeric.Planted"]),
+        # a unit test of a helper does not keep the helper
+        (
+            "def planted_helper():\n    return 0\n",
+            "from su2rep.numeric import planted_helper\n\n\ndef test_planted_helper():\n    assert planted_helper() == 0\n",
+            ["numeric.planted_helper"],
+        ),
+    ],
+)
+def test_reach_reports_a_planted_orphan(tmp_path, planted, test_file, expected):
+    shutil.copytree(ROOT / "src" / "su2rep", tmp_path / "src" / "su2rep", ignore=shutil.ignore_patterns("__pycache__"))
+    for path in _REACH_READERS:
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        shutil.copy(ROOT / path, tmp_path / path)
+    numeric = tmp_path / "src" / "su2rep" / "numeric.py"
+    numeric.write_text(f"{numeric.read_text()}\n\n{planted}")
+    if test_file:
+        (tmp_path / "tests" / "test_planted.py").write_text(test_file)
+    assert _unreached(tmp_path) == expected
+    (tmp_path / "bench" / "traced.py").write_text(f"{(tmp_path / 'bench' / 'traced.py').read_text()}\n{expected[0]}\n")
+    assert _unreached(tmp_path) == []  # a reader's use reaches it
 
 
 def test_unknown_attribute_raises_attribute_error():

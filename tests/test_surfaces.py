@@ -54,7 +54,7 @@ def test_poincare_degree_is_the_printed_dimension():
             target = SurfaceTarget(kind, n)
             assert poincare(target).degree() == target.dimension, target
     assert SurfaceTarget.central_minus(0).dimension == 2
-    assert SurfaceTarget.central_plus(1).dimension == 4
+    assert SurfaceTarget(TargetKind.CENTRAL_PLUS, 1).dimension == 4
 
 
 def test_target_validation():
@@ -215,7 +215,7 @@ def test_t_series_is_sum_of_sector_image_series():
 
 
 def test_gxt_series_closed_forms():
-    assert gxt_equivariant_series(SurfaceTarget.central_plus(0)) == RatFn(one, one - t(2)) + RatFn(
+    assert gxt_equivariant_series(SurfaceTarget(TargetKind.CENTRAL_PLUS, 0)) == RatFn(one, one - t(2)) + RatFn(
         one, one + t(2)
     )
     assert gxt_equivariant_series(SurfaceTarget.central_minus(2)) == RatFn(
@@ -253,7 +253,7 @@ def test_pair_series_nonnegative_to_degree_30():
 
 def test_pair_series_central_plus_n1_value():
     # bracket collapses to 1 by hand: (2 + 2t^3 - (1 + 2t^3 + t^4)) / (1 - t^4)
-    assert pair_poincare(SurfaceTarget.central_plus(1)) == RatFn(t())
+    assert pair_poincare(SurfaceTarget(TargetKind.CENTRAL_PLUS, 1)) == RatFn(t())
 
 
 # -- orbit spaces ------------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def test_orbit_regular_one_crosscap():
 
 def test_orbit_two_central_points():
     # X_0(+1) is the two central elements with trivial action; the quotient is S^0.
-    assert orbit_poincare(SurfaceTarget.central_plus(0)) == RatPoly.constant(2)
+    assert orbit_poincare(SurfaceTarget(TargetKind.CENTRAL_PLUS, 0)) == RatPoly.constant(2)
 
 
 def test_orbit_generic_small_values():
@@ -276,7 +276,7 @@ def test_orbit_generic_small_values():
 
 
 def test_orbit_klein_bottle_point():
-    assert orbit_poincare(SurfaceTarget.central_plus(1)) == one
+    assert orbit_poincare(SurfaceTarget(TargetKind.CENTRAL_PLUS, 1)) == one
 
 
 def test_orbit_two_sphere_collapses_to_point():
@@ -299,7 +299,7 @@ def test_orbit_connected_quotients_have_unit_constant_term():
 
 
 def test_fixed_orbit_space_poincare_forms():
-    assert fixed_orbit_space_poincare(SurfaceTarget.central_plus(2)) == (one + t()) ** 2 + (
+    assert fixed_orbit_space_poincare(SurfaceTarget(TargetKind.CENTRAL_PLUS, 2)) == (one + t()) ** 2 + (
         one - t()
     ) ** 2
     assert fixed_orbit_space_poincare(SurfaceTarget.central_minus(2)) == (one + t()) ** 2
