@@ -172,6 +172,10 @@ def check_orbit_spaces(n_max: int) -> list[str]:
 def check_duality_euler(n_max: int) -> list[str]:
     failures = []
     for n in range(n_max + 1):
+        for kind in ALL_KINDS:  # the printed dimension is the top degree of the printed Poincare polynomial
+            target = SurfaceTarget(kind, n)
+            if target.dimension != surfaces.poincare(target).degree():
+                failures.append(f"dimension n={n} {kind.value}")
         regular = surfaces.poincare(SurfaceTarget.regular(n))
         if poly_reciprocal(regular, SurfaceTarget.regular(n).dimension) != regular:
             failures.append(f"duality n={n}")

@@ -52,7 +52,6 @@ from .targets import ENUMERATION_CAP, ConsistencyError, SurfaceTarget, TargetKin
 
 SCHEMA_VERSION = 1
 
-_KINDS = {kind.value: kind for kind in TargetKind}
 # An entry is "<source digest>-<request key>.json"; older code wrote "<request key>.json".
 _ENTRY_NAME = re.compile("([0-9a-f]{64}-)?[0-9a-f]{64}[.]json")
 # A store removes temp files this much older than its entry, left by a killed miss; a younger one may be writing.
@@ -60,7 +59,7 @@ _STALE_TEMP_S = 3600
 
 
 def _target(ns) -> SurfaceTarget:
-    return SurfaceTarget(_KINDS[ns.target], ns.n)
+    return SurfaceTarget(TargetKind(ns.target), ns.n)
 
 
 def _cmd_betti(ns) -> dict:
@@ -176,10 +175,11 @@ def _basis_rows(runs, n: int, row: str):
 
     Each row is the row template filled in.  The last text may hold fewer.
     The rows of a run differ only in c1_power and degree, which follow from
-    k = |mask| and the c1-power.  So the rows of a slice of at most _BATCH
-    c1-powers are one template, split at the subset, and one str.join with
-    the subset renders them.  The last template made for each k is kept,
-    since every mask with that k has the same run in an image.
+    k = |mask| and the c1-power.  So the rows of each part of a run, a slice
+    of _BATCH c1-powers or the whole of a shorter run, are one template,
+    split at the subset, and one str.join with the subset renders them.  The
+    last template made for each k is kept, since every mask with that k has
+    the same run in an image.
     """
     subset_text = _subset_text(n)
     templates = {}  # k -> (a slice of c1-powers, its rows split at the subset)
@@ -189,7 +189,8 @@ def _basis_rows(runs, n: int, row: str):
             continue
         k = mask.bit_count()
         subset = subset_text(mask)
-        for part in (powers,) if len(powers) <= _BATCH else _slices(powers):
+        for start in range(0, len(powers), _BATCH):
+            part = powers[start : start + _BATCH]
             template = templates.get(k)
             if template is None or template[0] != part:
                 degrees = range(k + 2 * part.start, k + 2 * part.stop, 2)
@@ -201,11 +202,6 @@ def _basis_rows(runs, n: int, row: str):
                 texts, rows = [], 0
     if texts:
         yield ",".join(texts)
-
-
-def _slices(powers: range):
-    """powers in consecutive slices of _BATCH c1-powers."""
-    return (powers[start : start + _BATCH] for start in range(0, len(powers), _BATCH))
 
 
 def _cmd_cup_table(ns) -> dict:
@@ -317,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help + (" (central targets)" if command.central else ""))
         if command.target:
             p.add_argument("--n", type=int, required=True, help="cross-cap count minus one (tuple length - 1)")
-            p.add_argument("--target", choices=sorted(_KINDS), required=True)
+            p.add_argument("--target", choices=sorted(kind.value for kind in TargetKind), required=True)
         for flag, default, _ in command.options:
             p.add_argument(flag, type=int, default=default)
         p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import combinations
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
-from .targets import MEMO_SIZE, ConsistencyError, Variant
+from .targets import ConsistencyError, Variant
 
 
 class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
@@ -52,14 +51,13 @@ class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
         return _min_c1_powers(self.n, self.variant, self.sector)[k]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> tuple[int, ...]:
+def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> range:
     """The least admissible c1-power above each exterior degree k = 0..n: the three cases of the module docstring."""
     if sector is Sector.PLUS:
-        return tuple(range(n + 1))
+        return range(n + 1)
     if variant is Variant.REGULAR:
-        return tuple(n - k for k in range(n + 1))
-    return tuple(n + 1 - k for k in range(n + 1))
+        return range(n, -1, -1)
+    return range(n + 1, 0, -1)
 
 
 def _mask_runs(n_total, max_total_degree, min_c1_of_mask) -> Iterator[tuple[int, range]]:
@@ -252,9 +250,9 @@ def cup_product(c1: OrdClass, c2: OrdClass) -> tuple[int, OrdClass] | None:
 
 
 def _submasks(complement: int, sizes: list[int]) -> list[int]:
-    """The submasks of complement whose bit count is in sizes, in ascending order."""
+    """The submasks of complement whose bit count is in sizes (distinct, ascending), in ascending order."""
     bits = [1 << p for p in range(complement.bit_length()) if complement >> p & 1]
-    if len(sizes) <= len(bits):  # not every size: make only those of the sizes given
+    if len(sizes) != len(bits) + 1 or sizes[0] or sizes[-1] != len(bits):  # not every size 0..len(bits)
         return sorted(sum(chosen) for size in sizes for chosen in combinations(bits, size))
     submasks = [0]
     for bit in bits:  # bit lies above every submask so far, so the list stays ascending
@@ -271,17 +269,18 @@ def cup_survival(n: int, variant: Variant) -> dict[tuple[Sector, Sector], list[l
     localization image and raises ``ConsistencyError``.
     """
     min_c1 = {sector: _min_c1_powers(n, variant, sector) for sector in Sector}
-    pairs = [(k_a, k_b) for k_a in range(n + 1) for k_b in range(n - k_a + 1)]  # disjoint: k_a + k_b <= n
     surviving = {}
     for sector_a in Sector:
         for sector_b in Sector:
             l_a, l_b, l_min = min_c1[sector_a], min_c1[sector_b], min_c1[sector_a * sector_b]
-            if any(l_a[k_a] + l_b[k_b] < l_min[k_a + k_b] for k_a, k_b in pairs):
-                raise ConsistencyError("product escaped the localization image")
             surviving[sector_a, sector_b] = by_k_a = [[] for _ in range(n + 1)]
-            for k_a, k_b in pairs:
-                if l_a[k_a] + l_b[k_b] == l_min[k_a + k_b]:
-                    by_k_a[k_a].append(k_b)
+            for k_a in range(n + 1):
+                for k_b in range(n - k_a + 1):  # disjoint: k_a + k_b <= n
+                    excess = l_a[k_a] + l_b[k_b] - l_min[k_a + k_b]
+                    if excess < 0:
+                        raise ConsistencyError("product escaped the localization image")
+                    if not excess:
+                        by_k_a[k_a].append(k_b)
     return surviving
 
 

@@ -20,8 +20,8 @@ from enum import Enum
 #: Enumerations over all 2**n exterior monomials refuse to run past this size.
 ENUMERATION_CAP = 16
 
-#: Entries kept by each memo keyed by caller input, ``surfaces.poincare_sectors`` and
-#: ``locimage._min_c1_powers``; a ``verify --n-max 12`` run asks them for 39 and 52 keys.
+#: Entries kept by ``surfaces.poincare_sectors``, the memo keyed by caller input; a
+#: ``verify --n-max 12`` run asks it for 39 keys.
 MEMO_SIZE = 64
 
 

@@ -320,6 +320,13 @@ def test_a_planted_fault_fails_its_check_with_its_detail(capsys, monkeypatch, fa
     assert _failed_checks(capsys, 2)[check] == detail
 
 
+def test_duality_fails_when_dimension_is_3n_again(capsys, monkeypatch):
+    # The old rule, 3n and 2 more for a generic class, is short of the degree on (S^2)^(n+1) at n <= 1.
+    monkeypatch.setattr(SurfaceTarget, "dimension", property(lambda t: 3 * t.n + 2 * (t.kind is TargetKind.GENERIC)))
+    failed = _failed_checks(capsys, 12)
+    assert failed == {"poincare-duality-euler": "dimension n=0 minus; dimension n=1 plus"}
+
+
 def test_a_detail_counts_the_failures_it_leaves_out(capsys, monkeypatch):
     real = surfaces.poincare
     monkeypatch.setattr(surfaces, "poincare", lambda target: real(target) + int(target.kind is TargetKind.GENERIC))

@@ -28,7 +28,7 @@ from su2rep.locimage import (
 )
 from su2rep.ratpoly import RatFn, RatPoly
 from su2rep.surfaces import bigraded_poincare, poincare, poincare_sectors
-from su2rep.targets import MEMO_SIZE, ConsistencyError, SurfaceTarget, Variant
+from su2rep.targets import ConsistencyError, SurfaceTarget, Variant
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,22 +161,19 @@ def test_equal_image_specs_share_lru_cache_entries():
     assert calls == [first]
     assert keyed(ImageSpec(3, Variant.REGULAR, Sector.MINUS)) == 0
 
-    locimage._min_c1_powers.cache_clear()
-    image_basis(first, 8)
-    image_basis(second, 8)
-    info = locimage._min_c1_powers.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
 
-
-def test_min_c1_memo_is_bounded_and_a_repeated_key_hits():
-    locimage._min_c1_powers.cache_clear()
-    for n in range(100):
-        for sector in Sector:
-            ImageSpec(n, Variant.REGULAR, sector).min_c1_power(0)
-    info = locimage._min_c1_powers.cache_info()
-    assert info.currsize == info.maxsize == MEMO_SIZE
-    ImageSpec(99, Variant.REGULAR, Sector.MINUS).min_c1_power(0)
-    assert locimage._min_c1_powers.cache_info()[:2] == (info.hits + 1, info.misses)
+def test_min_c1_powers_are_the_least_the_predicates_admit():
+    # The bidegree predicates of the module docstring, with k = |S| and l the c1-power.
+    predicates = {
+        (Variant.REGULAR, Sector.PLUS): lambda n, k, l: k <= l,
+        (Variant.SINGULAR, Sector.PLUS): lambda n, k, l: k <= l,
+        (Variant.REGULAR, Sector.MINUS): lambda n, k, l: k + l >= n,
+        (Variant.SINGULAR, Sector.MINUS): lambda n, k, l: k + l >= n + 1,
+    }
+    for (variant, sector), admits in predicates.items():
+        for n in range(8):
+            least = [min(l for l in range(n + 2) if admits(n, k, l)) for k in range(n + 1)]
+            assert list(locimage._min_c1_powers(n, variant, sector)) == least, (n, variant, sector)
 
 
 def test_factorization_hand_case_n1():
@@ -375,6 +372,11 @@ def test_submasks_of_given_sizes_ascend():
         for sizes in itertools.chain.from_iterable(itertools.combinations(range(m + 1), r) for r in range(m + 2)):
             expected = [b for b in every if b.bit_count() in sizes]
             assert locimage._submasks(complement, list(sizes)) == expected
+
+
+def test_submasks_of_as_many_sizes_as_bits_plus_one_but_not_every_size():
+    # Four sizes for three bits, but 1 and 3 are missing and 5 and 6 exceed the bit count.
+    assert locimage._submasks(0b111, [0, 2, 5, 6]) == [0b000, 0b011, 0b101, 0b110]
 
 
 def test_cup_table_raises_when_a_product_escapes_the_image(monkeypatch):
