@@ -267,9 +267,7 @@ def _cmd_verify(ns) -> dict:
 
 
 def _cmd_numeric_check(ns) -> dict:
-    # The oracle's matrices are 3 x 9: one BLAS thread, unless the caller chose a count, starts numpy faster.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import numeric  # the only command that needs numpy
+    from . import numeric
 
     rows = numeric.numeric_check_suite(seed=ns.seed)
     return {"seed": ns.seed, "checks": rows, "passed": all(row["pass"] for row in rows)}

@@ -6,19 +6,23 @@ product-of-squares map and the rank of its differential, square-root fibers,
 the sphere-times-circle chart of the first regular variety, and the
 torus-fixed locus.
 
-Randomness is always drawn from a ``SeededStream``, an explicitly seeded
-stream built on the standard library's Mersenne Twister, so every report is
-reproducible, under any numpy release, and no command loads ``numpy.random``.
+The checks run on the standard library alone.  A quaternion w + x i + y j + z k
+is the pair of complex numbers (a, b) = (w + x i, y + z i), that is a + b j,
+and the maximal torus is the circle b = 0.  Randomness is always drawn from an
+explicitly seeded ``random.Random``, so every report is reproducible and no
+command loads numpy.  ``box``, ``box_differential``, ``box_singular_values``
+and ``singular_example`` are the same maps batched over numpy arrays of
+(w, x, y, z) rows; they load numpy, through ``quaternions``, when called.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
+import sys
+from array import array
 from collections import namedtuple
-
-import numpy as np
-
-from . import quaternions as quat
 
 #: Residual tolerance used by the pass/fail checks.
 RESIDUAL_TOL = 1e-10
@@ -32,134 +36,252 @@ SPHERE_TOL = 1e-9
 #: Sample count of every check of ``numeric_check_suite``.
 SUITE_SAMPLES = 2000
 
-#: Rows of the pairwise distances that ``x1r_chart_check`` holds at once.
-SEPARATION_BLOCK = 32
+#: 1, -1 and j as complex pairs; a tuple of copies of j is a critical point of the product map.
+ONE = (1 + 0j, 0j)
+MINUS_ONE = (-1 + 0j, 0j)
+J = (0j, 1 + 0j)
 
 
-class SeededStream:
-    """Seeded float64 draws with the methods the oracle calls on a numpy ``Generator``.
+# -- the seeded stream --------------------------------------------------------
 
-    The bits come from ``random.Random(seed)``: a uniform in [0, 1) is the top 53
-    bits of one 64-bit word, and normals come from pairs of uniforms by Box-Muller.
+
+def uniforms(bits: random.Random, count: int) -> list:
+    """Uniform floats in [0, 1): each the top 53 bits of the next ``bits.getrandbits(64)``, scaled.
+
+    The words are read in bulk: ``randbytes`` gives the same 64-bit words, little-endian.
     """
-
-    def __init__(self, seed: int):
-        self._bits = random.Random(seed)
-
-    def random(self, size=()):
-        """Uniform floats in [0, 1)."""
-        words = np.frombuffer(self._bits.randbytes(8 * int(np.prod(size))), dtype="<u8")
-        return ((words >> 11) * 2.0**-53).reshape(size)
-
-    def uniform(self, low, high, size=()):
-        return low + (high - low) * self.random(size)
-
-    def standard_normal(self, size=()):
-        """Box-Muller: uniforms u, then v, give sqrt(-2 log(1 - u)) times cos(2 pi v), then times sin(2 pi v)."""
-        count = int(np.prod(size))
-        u, v = self.random((2, (count + 1) // 2))
-        radius = np.sqrt(-2.0 * np.log1p(-u))
-        angle = 2.0 * np.pi * v
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count].reshape(size)
+    words = array("Q", bits.randbytes(8 * count))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [(word >> 11) * 2.0**-53 for word in words]
 
 
-def box(points):
-    """Ordered product of squares of the tuple entries (left to right)."""
-    points = np.asarray(points, dtype=float)
-    out = np.broadcast_to(quat.IDENTITY, points[..., 0, :].shape).copy()
-    for k in range(points.shape[-2]):
-        out = quat.mul(out, quat.square(points[..., k, :]))
+def normals(bits: random.Random, count: int) -> list:
+    """Box-Muller: uniforms u, then v, give sqrt(-2 log(1 - u)) times cos(2 pi v), then times sin(2 pi v)."""
+    half = (count + 1) // 2
+    u, v = uniforms(bits, half), uniforms(bits, half)
+    # cmath.rect(r, t) is (r cos t, r sin t), the same floats as the two products
+    pairs = [cmath.rect(math.sqrt(-2.0 * math.log1p(-x)), 2.0 * math.pi * y) for x, y in zip(u, v)]
+    return [z.real for z in pairs] + [z.imag for z in pairs[: count - half]]
+
+
+def random_angles(bits: random.Random, count: int) -> list:
+    """Uniform angles in [0, 2 pi)."""
+    return [2.0 * math.pi * u for u in uniforms(bits, count)]
+
+
+def random_units(bits: random.Random, count: int) -> list:
+    """Haar-distributed unit quaternions: normalized 4-d Gaussians, one (w, x, y, z) after another."""
+    values = normals(bits, 4 * count)
+    units, run = [], iter(values)
+    for w, x, y, z in zip(run, run, run, run):
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        units.append((complex(w / norm, x / norm), complex(y / norm, z / norm)))
+    return units
+
+
+def random_axes(bits: random.Random, count: int) -> list:
+    """Uniform unit imaginary quaternions (points of the 2-sphere): normalized 3-d Gaussians."""
+    values = normals(bits, 3 * count)
+    axes, run = [], iter(values)
+    for x, y, z in zip(run, run, run):
+        norm = math.sqrt(x * x + y * y + z * z)
+        axes.append((complex(0.0, x / norm), complex(y / norm, z / norm)))
+    return axes
+
+
+def _tuples(entries: list, size: int) -> list:
+    """Consecutive runs of size entries."""
+    return [entries[i : i + size] for i in range(0, len(entries), size)]
+
+
+# -- quaternions as complex pairs -----------------------------------------------
+
+
+def hamilton(p, q):
+    """Hamilton product: (a + b j)(c + d j) = (a c - b conj(d)) + (a d + b conj(c)) j."""
+    a, b = p
+    c, d = q
+    return a * c - b * d.conjugate(), a * d + b * c.conjugate()
+
+
+def square(q):
+    """q q = (a a - |b|^2) + 2 Re(a) b j; a negated q has the same square, exactly."""
+    a, b = q
+    return a * a - (b.real * b.real + b.imag * b.imag), 2.0 * a.real * b
+
+
+def dist(p, q) -> float:
+    """Euclidean distance between two quaternions."""
+    return math.hypot(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+
+def conjugate_tuple(points, g) -> list:
+    """Simultaneous conjugation of every tuple entry by g."""
+    p, r = g
+    p_bar, r_bar = p.conjugate(), r.conjugate()
+    out = []
+    for a, b in points:  # two Hamilton products written out: the suite conjugates 18,000 quaternions
+        u, v = p * a - r * b.conjugate(), p * b + r * a.conjugate()  # g q, then times conj(g) = (p_bar, -r)
+        out.append((u * p_bar + v * r_bar, v * p - u * r))
     return out
 
 
-def box_differential(points):
-    """Differential of the product of squares in the right-trivialized frame.
-
-    Returns (..., 3, 3m) matrices whose k-th 3x3 block is
-    Ad(prefix_k) (I + Ad(g_k)) with prefix_k the product of the first k
-    squares.  Full rank 3 marks a regular point.
-    """
-    points = np.asarray(points, dtype=float)
-    m = points.shape[-2]
-    prefix = np.broadcast_to(quat.IDENTITY, points[..., 0, :].shape).copy()
-    eye = np.eye(3)
-    blocks = []
-    for k in range(m):
-        g_k = points[..., k, :]
-        block = quat.rotation_matrix(prefix) @ (eye + quat.rotation_matrix(g_k))
-        blocks.append(block)
-        prefix = quat.mul(prefix, quat.square(g_k))
-    return np.concatenate(blocks, axis=-1)
-
-
-def box_singular_values(points):
-    """Singular values (..., 3) of the differential, descending."""
-    return np.linalg.svd(box_differential(points), compute_uv=False)
-
-
-def box_differential_rank(points):
-    """Numerical rank (0..3) of the differential at one tuple, or the array of ranks of a batch."""
-    ranks = np.sum(box_singular_values(points) > RANK_TOL, axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
-
-
-def conjugate_tuple(points, g):
-    """Simultaneous conjugation of every tuple entry by g."""
-    points = np.asarray(points, dtype=float)
-    g = np.asarray(g, dtype=float)
-    g_b = np.broadcast_to(g[..., None, :], points.shape)
-    return quat.mul(quat.mul(g_b, points), quat.conj(g_b))
-
-
-def flip_zeroth(points):
+def flip_zeroth(points) -> list:
     """Negate the 0th entry; the product of squares is unchanged exactly."""
-    points = np.asarray(points, dtype=float).copy()
-    points[..., 0, :] = -points[..., 0, :]
-    return points
+    (a, b), *rest = points
+    return [(-a, -b), *rest]
 
 
-def singular_example(n: int):
-    """The tuple (J, ..., J) with J*J = -1, a critical point of the product map."""
-    j = np.array([0.0, 0.0, 1.0, 0.0])
-    return np.tile(j, (n + 1, 1))
+def product_of_squares(points):
+    """Ordered product of squares of the tuple entries (left to right)."""
+    out = ONE
+    for q in points:
+        out = hamilton(out, square(q))
+    return out
 
 
-def fixed_point_residual(point) -> float:
-    """Distance of a tuple from the torus-fixed locus.
+def principal_root(q):
+    """Half-angle square root of a unit quaternion.
+
+    At exactly -1 the root along the first imaginary axis is returned; every
+    axis works there, and nearby inputs stay within the branch because the
+    half angle is continuous up to the cut.
+    """
+    a, b = q
+    x = a.imag
+    vnorm = math.sqrt(x * x + b.real * b.real + b.imag * b.imag)
+    half = 0.5 * math.atan2(vnorm, min(max(a.real, -1.0), 1.0))
+    if vnorm == 0.0:
+        return complex(math.cos(half), math.sin(half)), 0j
+    scale = math.sin(half) / vnorm
+    return complex(math.cos(half), scale * x), scale * b
+
+
+def sqrt_fiber_is_sphere(q) -> bool:
+    """Whether the square roots of q are the 2-sphere of unit imaginary quaternions, not an antipodal pair.
+
+    That is so at -1, taken within ``SPHERE_TOL``; elsewhere the roots are
+    plus and minus ``principal_root(q)``.
+    """
+    return dist(q, MINUS_ONE) <= SPHERE_TOL
+
+
+def fixed_point_residual(points) -> float:
+    """Distance of quaternions from the torus-fixed locus.
 
     Zero exactly when every entry lies on the torus circle w + x*i; measured
     as the largest magnitude of the components orthogonal to the torus axis.
     """
-    point = np.asarray(point, dtype=float)
-    return float(np.max(np.hypot(point[..., 2], point[..., 3])))
+    return max(abs(b) for _, b in points)
 
 
-class SqrtFiber(namedtuple("SqrtFiber", "kind points", defaults=(None,))):
-    """Solutions of h*h = g: kind "two_points", the antipodal pair in points, or "two_sphere" when g = -1."""
-
-    __slots__ = ()
-
-    def sphere_point(self, axis):
-        """Point of the sphere fiber at a given unit imaginary direction."""
-        if self.kind != "two_sphere":
-            raise ValueError("only the sphere fiber is parametrized by an axis")
-        axis = np.asarray(axis, dtype=float)
-        return np.concatenate([np.zeros(axis.shape[:-1] + (1,)), axis], axis=-1)
+# -- the differential of the product of squares ------------------------------------
 
 
-def sqrt_fiber(g) -> SqrtFiber:
-    """The square-root fiber of a unit quaternion.
+def singular_values(points) -> list:
+    """Singular values of the differential of the product of squares at one tuple, descending.
 
-    Away from -1 the fiber is the antipodal pair through the half angle; at
-    (or within ``SPHERE_TOL`` of) -1 it is the 2-sphere of unit imaginary
-    quaternions, i.e. the rotation angle pi/2 shell.  Returned point
-    solutions satisfy |h*h - g| <= 10*SPHERE_TOL.
+    With D the differential in the right-trivialized frame, D D^T is
+    4 sum_k (w_k^2 I + y_k y_k^T), where w_k is the real part of the k-th
+    entry g_k and y_k the vector part of P_k g_k P_k^-1, P_k the product of
+    the first k squares.  So the squared singular values are 4 (sum_k w_k^2 +
+    the eigenvalues of Y Y^T), Y the 3 x m matrix of columns y_k.
     """
-    g = quat.normalize(g)
-    if np.linalg.norm(g - quat.MINUS_IDENTITY) <= SPHERE_TOL:
-        return SqrtFiber("two_sphere")
-    root = quat.principal_sqrt(g)
-    return SqrtFiber("two_points", np.stack([root, -root]))
+    (p, r), trace = ONE, 0.0
+    xx = yy = zz = xy = xz = yz = 0.0
+    for a, b in points:  # Hamilton products written out: this loop runs on every sampled tuple
+        trace += a.real * a.real
+        c, d = p * a - r * b.conjugate(), p * b + r * a.conjugate()  # P_k g_k
+        # y_k, the vector part of (c + d j)(conj(p) - r j) = P_k g_k P_k^-1: its i part, then its j + k part
+        x = (c * p.conjugate() + d * r.conjugate()).imag
+        v = d * p - c * r
+        y, z = v.real, v.imag
+        xx += x * x
+        yy += y * y
+        zz += z * z
+        xy += x * y
+        xz += x * z
+        yz += y * z
+        p, r = c * a - d * b.conjugate(), c * b + d * a.conjugate()  # P_(k+1) = P_k g_k g_k
+    eigenvalues = sorted(_symmetric_eigenvalues(xx, yy, zz, xy, xz, yz), reverse=True)
+    return [2.0 * math.sqrt(max(trace + value, 0.0)) for value in eigenvalues]
+
+
+def _symmetric_eigenvalues(a00, a11, a22, a01, a02, a12) -> tuple:
+    """Eigenvalues of the symmetric 3 x 3 matrix A with these entries.
+
+    Where they lie well apart, the closed form of the characteristic cubic:
+    q + 2 p cos(phi + 2 pi k / 3), with q the mean of the diagonal, p the
+    spread of A - q I and cos(3 phi) = det((A - q I) / p) / 2.  As two of them
+    meet, |cos 3 phi| nears 1 and acos loses half the digits (4e-8 at a
+    double eigenvalue), so there, and at a diagonal matrix, Jacobi rotations
+    decide.
+    """
+    off = a01 * a01 + a02 * a02 + a12 * a12
+    if off:
+        q = (a00 + a11 + a22) / 3.0
+        p = math.sqrt(((a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * off) / 6.0)
+        b00, b11, b22, b01, b02, b12 = (a00 - q) / p, (a11 - q) / p, (a22 - q) / p, a01 / p, a02 / p, a12 / p
+        det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
+        if abs(det / 2.0) <= 0.99:
+            phi = math.acos(det / 2.0) / 3.0
+            largest, least = q + 2.0 * p * math.cos(phi), q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
+            return largest, 3.0 * q - largest - least, least
+    return _jacobi_eigenvalues(a00, a11, a22, a01, a02, a12)
+
+
+def _jacobi_eigenvalues(a00, a11, a22, a01, a02, a12) -> tuple:
+    """Eigenvalues of the symmetric 3 x 3 matrix with these entries, by cyclic Jacobi rotations.
+
+    A diagonal matrix is returned as it is, so exact zeros stay exact.  The
+    sweeps stop once the off-diagonal part is below 1e-15 of the diagonal's
+    norm, where it moves no eigenvalue by more than that.  Each rotation
+    zeroes one off-diagonal entry and turns the other two, written out for
+    the (0, 1), (0, 2) and (1, 2) planes in turn.
+    """
+    for _ in range(50):
+        if a01 * a01 + a02 * a02 + a12 * a12 <= 1e-30 * (a00 * a00 + a11 * a11 + a22 * a22):
+            break
+        if a01:
+            c, s, t = _rotation(a00, a11, a01)
+            a00, a11, a01 = a00 - t * a01, a11 + t * a01, 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+        if a02:
+            c, s, t = _rotation(a00, a22, a02)
+            a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+        if a12:
+            c, s, t = _rotation(a11, a22, a12)
+            a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+    return a00, a11, a22
+
+
+def _rotation(app, aqq, apq) -> tuple:
+    """Cosine, sine and tangent of the Jacobi rotation in the (p, q) plane that zeroes apq."""
+    theta = (aqq - app) / (2.0 * apq)
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+    c = 1.0 / math.hypot(t, 1.0)
+    return c, t * c, t
+
+
+# -- the sphere-times-circle chart -------------------------------------------------
+
+
+def _exp(axis, t):
+    """exp(t X) = cos t + sin t X for a unit imaginary quaternion X; a real part of X is ignored."""
+    s = math.sin(t)
+    return complex(math.cos(t), s * axis[0].imag), s * axis[1]
+
+
+def chart_point(axis, t) -> tuple:
+    """Chart of the first regular variety from (sphere direction, angle).
+
+    F(X, t) = (exp(t X), exp((pi/2 - t) X)); the squares multiply to
+    exp(pi X) = -1 identically, so the image lies on the variety.
+    """
+    return _exp(axis, t), _exp(axis, math.pi / 2 - t)
 
 
 class ChartReport(namedtuple("ChartReport", "max_relation_residual max_equivariance_residual min_output_separation")):
@@ -174,56 +296,46 @@ class ChartReport(namedtuple("ChartReport", "max_relation_residual max_equivaria
         )
 
 
-def x1r_chart(axes, angles):
-    """Chart of the first regular variety from (sphere direction, angle).
-
-    F(X, t) = (exp(t X), exp((pi/2 - t) X)); the squares multiply to
-    exp(pi X) = -1 identically, so the image lies on the variety.
-    """
-    axes = np.asarray(axes, dtype=float)
-    angles = np.asarray(angles, dtype=float)[..., None]
-    first = quat.exp_im(angles * axes)
-    second = quat.exp_im((np.pi / 2 - angles) * axes)
-    return np.stack([first, second], axis=-2)
-
-
 def x1r_chart_check(samples: int, seed: int = 0) -> ChartReport:
     """Sample the chart and measure the residuals of its defining properties."""
     if samples <= 0:
         raise ValueError("need at least one sample")
-    rng = SeededStream(seed)
-    axes = quat.random_axis(rng, samples)
-    angles = rng.uniform(0.0, 2.0 * np.pi, samples)
-    points = x1r_chart(axes, angles)
+    bits = random.Random(seed)
+    axes = random_axes(bits, samples)
+    angles = random_angles(bits, samples)
+    points = [chart_point(axis, t) for axis, t in zip(axes, angles)]
+    relation_residual = max(dist(product_of_squares(point), MINUS_ONE) for point in points)
 
-    relation = quat.mul(quat.square(points[:, 0]), quat.square(points[:, 1]))
-    relation_residual = float(np.max(quat.dist(relation, quat.MINUS_IDENTITY)))
-
-    g = quat.random_unit(rng, samples)
-    rotated_axes = np.einsum("nij,nj->ni", quat.rotation_matrix(g), axes)
-    left = x1r_chart(rotated_axes, angles)
-    right = conjugate_tuple(points, g)
-    equivariance_residual = float(np.max(quat.dist(left, right)))
+    # F(g X g^-1, t) = g F(X, t) g^-1, entry by entry
+    equivariance_residual = 0.0
+    for point, axis, t, g in zip(points, axes, angles, random_units(bits, samples)):
+        rotated, first, second = conjugate_tuple([axis, *point], g)
+        left_first, left_second = chart_point(rotated, t)
+        equivariance_residual = max(equivariance_residual, dist(left_first, first), dist(left_second, second))
 
     # Injectivity proxy on a subsample: distinct chart points stay separated.
-    keep = min(samples, 256)
-    return ChartReport(relation_residual, equivariance_residual, _min_separation(points[:keep].reshape(keep, 8)))
+    rows = [(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag) for (a, b), (c, d) in points[:256]]
+    return ChartReport(relation_residual, equivariance_residual, _min_separation(rows))
 
 
 def _min_separation(rows) -> float:
-    """Least distance between two distinct rows of a 2-d array; +inf for fewer than two rows.
+    """Least distance between two distinct rows; +inf for fewer than two rows.
 
-    The distances are those of the all-pairs ``norm(rows[:, None] - rows[None])``,
-    float for float, made ``SEPARATION_BLOCK`` rows at a time with the diagonal
-    masked by +inf, so memory stays linear in the row count.
+    The rows are sorted by their first coordinate, so the pairs of a row end
+    where that coordinate alone differs by the least distance found so far.
     """
-    least = np.inf
-    for start in range(0, len(rows), SEPARATION_BLOCK):
-        block = np.linalg.norm(rows[start : start + SEPARATION_BLOCK, None, :] - rows[None, :, :], axis=-1)
-        own = np.arange(len(block))
-        block[own, start + own] = np.inf
-        least = min(least, block.min())
-    return float(least)
+    rows, least = sorted(rows), math.inf
+    for i, row in enumerate(rows):
+        for other in rows[i + 1 :]:
+            if other[0] - row[0] >= least:
+                break
+            distance = math.dist(row, other)
+            if distance < least:
+                least = distance
+    return least
+
+
+# -- the suite --------------------------------------------------------------------
 
 
 def numeric_check_suite(seed: int = 0) -> list[dict]:
@@ -234,28 +346,29 @@ def numeric_check_suite(seed: int = 0) -> list[dict]:
     checks after it still run.
     """
     samples = SUITE_SAMPLES
-    rng = SeededStream(seed)
-    tuples = quat.random_unit(rng, (samples, 3))
+    bits = random.Random(seed)
+    tuples = _tuples(random_units(bits, 3 * samples), 3)
+    products = [product_of_squares(points) for points in tuples]  # both box checks compare with these
 
     def box_conjugation_equivariance():
-        g = quat.random_unit(rng, samples)
-        residual = np.max(quat.dist(box(conjugate_tuple(tuples, g)), quat.mul(quat.mul(g, box(tuples)), quat.conj(g))))
+        residual = max(
+            dist(product_of_squares(conjugate_tuple(points, g)), conjugate_tuple([product], g)[0])
+            for points, product, g in zip(tuples, products, random_units(bits, samples))
+        )
         return residual, residual <= 1e-12
 
     def zeroth_flip_invariance():
-        residual = np.max(quat.dist(box(flip_zeroth(tuples)), box(tuples)))
+        residual = max(dist(product_of_squares(flip_zeroth(t)), product) for t, product in zip(tuples, products))
         return residual, residual == 0.0
 
     def sqrt_roundtrip():
-        g = quat.random_unit(rng, samples)
-        residual = np.max(quat.dist(quat.square(quat.principal_sqrt(g)), g))
+        residual = max(dist(square(principal_root(g)), g) for g in random_units(bits, samples))
         return residual, residual <= 1e-9
 
     def sqrt_degenerate_fiber():
-        fiber = sqrt_fiber(quat.MINUS_IDENTITY)
-        axes = quat.random_axis(rng, samples)
-        residual = np.max(quat.dist(quat.square(fiber.sphere_point(axes)), quat.MINUS_IDENTITY))
-        ok = fiber.kind == "two_sphere" and sqrt_fiber(quat.IDENTITY).kind == "two_points"
+        # the sphere fiber over -1 is the unit imaginary quaternions themselves
+        residual = max(dist(square(axis), MINUS_ONE) for axis in random_axes(bits, samples))
+        ok = sqrt_fiber_is_sphere(MINUS_ONE) and not sqrt_fiber_is_sphere(ONE)
         return residual, ok and residual <= 1e-12
 
     def chart():
@@ -263,23 +376,20 @@ def numeric_check_suite(seed: int = 0) -> list[dict]:
         return max(report.max_relation_residual, report.max_equivariance_residual), report.passed
 
     def regular_rank_gap():
-        values = box_singular_values(quat.random_unit(rng, (samples, 3)))
-        regular_floor = float(values[:, 2].min())
-        singular_third = float(box_singular_values(singular_example(2))[2])
+        regular_floor = min(singular_values(points)[2] for points in _tuples(random_units(bits, 3 * samples), 3))
+        singular_third = singular_values([J] * 3)[2]
         gap_ok = (
-            bool(np.all(values[:, 2] > RANK_TOL))
-            and box_differential_rank(singular_example(2)) < 3
+            regular_floor > RANK_TOL
+            and singular_third <= RANK_TOL
             and regular_floor >= 1e4 * max(singular_third, 1e-300)
         )
         return singular_third, gap_ok
 
     def fixed_point():
-        diag = np.zeros((samples, 2, 4))
-        angles = rng.uniform(0.0, 2.0 * np.pi, (samples, 2))
-        diag[..., 0] = np.cos(angles)
-        diag[..., 1] = np.sin(angles)
-        residual = fixed_point_residual(diag)
-        moved = fixed_point_residual(conjugate_tuple(diag, quat.random_unit(rng, samples)))
+        circle = [(complex(math.cos(t), math.sin(t)), 0j) for t in random_angles(bits, 2 * samples)]
+        residual = fixed_point_residual(circle)
+        units = random_units(bits, samples)
+        moved = fixed_point_residual([q for pair, g in zip(_tuples(circle, 2), units) for q in conjugate_tuple(pair, g)])
         return residual, residual <= 1e-12 and moved > 1e-6
 
     rows = []
@@ -301,3 +411,55 @@ def numeric_check_suite(seed: int = 0) -> list[dict]:
             row.update({"max_residual": float(residual), "pass": bool(passed)})
         rows.append(row)
     return rows
+
+
+# -- the batched numpy forms ----------------------------------------------------------
+
+
+def box(points):
+    """Ordered product of squares of the tuple entries (left to right), over (..., m, 4) arrays."""
+    from . import quaternions as quat
+
+    np = quat.np
+    points = np.asarray(points, dtype=float)
+    out = np.broadcast_to(quat.IDENTITY, points[..., 0, :].shape).copy()
+    for k in range(points.shape[-2]):
+        out = quat.mul(out, quat.square(points[..., k, :]))
+    return out
+
+
+def box_differential(points):
+    """Differential of the product of squares in the right-trivialized frame.
+
+    Returns (..., 3, 3m) matrices whose k-th 3x3 block is
+    Ad(prefix_k) (I + Ad(g_k)) with prefix_k the product of the first k
+    squares.  Full rank 3 marks a regular point.
+    """
+    from . import quaternions as quat
+
+    np = quat.np
+    points = np.asarray(points, dtype=float)
+    m = points.shape[-2]
+    prefix = np.broadcast_to(quat.IDENTITY, points[..., 0, :].shape).copy()
+    eye = np.eye(3)
+    blocks = []
+    for k in range(m):
+        g_k = points[..., k, :]
+        block = quat.rotation_matrix(prefix) @ (eye + quat.rotation_matrix(g_k))
+        blocks.append(block)
+        prefix = quat.mul(prefix, quat.square(g_k))
+    return np.concatenate(blocks, axis=-1)
+
+
+def box_singular_values(points):
+    """Singular values (..., 3) of the differential, descending."""
+    from .quaternions import np
+
+    return np.linalg.svd(box_differential(points), compute_uv=False)
+
+
+def singular_example(n: int):
+    """The tuple (J, ..., J) with J*J = -1, a critical point of the product map, as an (n+1, 4) array."""
+    from .quaternions import np
+
+    return np.tile([0.0, 0.0, 1.0, 0.0], (n + 1, 1))

@@ -1,7 +1,9 @@
-"""Batched unit-quaternion helpers.
+"""Batched unit-quaternion helpers on numpy arrays.
 
 Quaternions are float arrays of shape (..., 4) in (w, x, y, z) order; all
-functions broadcast.  Under the usual dictionary with 2x2 special unitary
+functions broadcast.  It is the one module that imports numpy at load time, and
+no command loads it: ``numeric.box`` and its batched siblings import it when
+called.  Under the usual dictionary with 2x2 special unitary
 matrices the trace is 2w, and the maximal torus used throughout the package
 is the circle w + x*i, so the i-axis is the torus axis.
 """
@@ -39,23 +41,8 @@ def mul(a, b):
     )
 
 
-def conj(q):
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def square(q):
     return mul(q, q)
-
-
-def exp_im(v):
-    """Exponential of an imaginary quaternion given as a 3-vector."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = angle < 1e-300
-    axis = np.where(small, 0.0, v / np.where(small, 1.0, angle))
-    w = np.cos(angle)
-    return np.concatenate([w, np.sin(angle) * axis], axis=-1)
 
 
 def rotation_matrix(q):
@@ -97,12 +84,6 @@ def _shape_tuple(shape) -> tuple:
 def random_unit(rng, shape=()):
     """Haar-distributed unit quaternions via normalized 4-d Gaussians."""
     return normalize(rng.standard_normal(_shape_tuple(shape) + (4,)))
-
-
-def random_axis(rng, shape=()):
-    """Uniform points of the unit 2-sphere (imaginary directions)."""
-    sample = rng.standard_normal(_shape_tuple(shape) + (3,))
-    return sample / np.linalg.norm(sample, axis=-1, keepdims=True)
 
 
 def dist(a, b):

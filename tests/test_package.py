@@ -81,7 +81,7 @@ def test_numpy_random_scan_sees_each_form(source):
 
 
 def test_no_module_references_numpy_random():
-    # The oracle draws from numeric.SeededStream; numpy.random costs a process 6 MB and its streams may change.
+    # The oracle draws from a seeded random.Random; numpy.random costs a process 6 MB and its streams may change.
     found = {
         path.name: lines
         for path in sorted((ROOT / "src" / "su2rep").glob("*.py"))
@@ -89,6 +89,59 @@ def test_no_module_references_numpy_random():
     }
     assert found == {}
     assert not _numpy_random_references("import numpy as np\nimport random\nrandom.Random(0)\nnp.linalg")
+
+
+def _load_time_numpy_imports(source: str) -> list[int]:
+    """Lines of a su2rep module that import numpy, or ``quaternions``, which does, outside every function body.
+
+    Module-level and class-level code runs when the module loads; a function imports only when it is called.
+    """
+    lines, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("su2rep." if node.level else "") + (node.module or "")
+            names = [base.rstrip(".")] + [f"{base}.{alias.name}".replace("..", ".") for alias in node.names]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" or name.startswith("su2rep.quaternions") for name in names):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import numpy as np", [1]),
+        ("import numpy.linalg", [1]),
+        ("from numpy import linalg", [1]),
+        ("from . import quaternions as quat", [1]),
+        ("from .quaternions import np", [1]),
+        ("from su2rep import quaternions", [1]),
+        ("try:\n    import numpy\nexcept ImportError:\n    pass", [2]),
+        ("class Kernel:\n    import numpy", [2]),
+        ("def box(points):\n    from . import quaternions as quat\n    import numpy", []),
+        ("from . import targets\nimport random\nimport numbers", []),
+    ],
+)
+def test_load_time_numpy_scan_sees_each_form(source, expected):
+    assert _load_time_numpy_imports(source) == expected
+
+
+def test_only_quaternions_imports_numpy_when_it_loads():
+    # No command loads numpy: the oracle runs on the standard library, and the numpy forms of its maps
+    # (numeric.box and its siblings) import quaternions in their bodies.
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "su2rep").glob("*.py"))
+        if (lines := _load_time_numpy_imports(path.read_text()))
+    }
+    assert list(found) == ["quaternions.py"]
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
