@@ -20,8 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import sys
-from array import array
 from collections import namedtuple
 
 #: Residual tolerance used by the pass/fail checks.
@@ -46,14 +44,8 @@ J = (0j, 1 + 0j)
 
 
 def uniforms(bits: random.Random, count: int) -> list:
-    """Uniform floats in [0, 1): each the top 53 bits of the next ``bits.getrandbits(64)``, scaled.
-
-    The words are read in bulk: ``randbytes`` gives the same 64-bit words, little-endian.
-    """
-    words = array("Q", bits.randbytes(8 * count))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return [(word >> 11) * 2.0**-53 for word in words]
+    """Uniform floats in [0, 1): each the top 53 bits of the next ``bits.getrandbits(64)``, scaled."""
+    return [(bits.getrandbits(64) >> 11) * 2.0**-53 for _ in range(count)]
 
 
 def normals(bits: random.Random, count: int) -> list:
@@ -117,14 +109,9 @@ def dist(p, q) -> float:
 
 
 def conjugate_tuple(points, g) -> list:
-    """Simultaneous conjugation of every tuple entry by g."""
-    p, r = g
-    p_bar, r_bar = p.conjugate(), r.conjugate()
-    out = []
-    for a, b in points:  # two Hamilton products written out: the suite conjugates 18,000 quaternions
-        u, v = p * a - r * b.conjugate(), p * b + r * a.conjugate()  # g q, then times conj(g) = (p_bar, -r)
-        out.append((u * p_bar + v * r_bar, v * p - u * r))
-    return out
+    """Simultaneous conjugation of every tuple entry by g: g q g^-1, with g^-1 = conj(g) = (conj(a), -b)."""
+    inverse = (g[0].conjugate(), -g[1])
+    return [hamilton(hamilton(g, q), inverse) for q in points]
 
 
 def flip_zeroth(points) -> list:
@@ -187,58 +174,36 @@ def singular_values(points) -> list:
     entry g_k and y_k the vector part of P_k g_k P_k^-1, P_k the product of
     the first k squares.  So the squared singular values are 4 (sum_k w_k^2 +
     the eigenvalues of Y Y^T), Y the 3 x m matrix of columns y_k.
+
+    The Gram matrix squares the differential, so a zero singular value is
+    resolved only to about sqrt(eps) sigma_1: a few 1e-8 off the axes.
     """
-    (p, r), trace = ONE, 0.0
+    prefix, trace = ONE, 0.0
     xx = yy = zz = xy = xz = yz = 0.0
-    for a, b in points:  # Hamilton products written out: this loop runs on every sampled tuple
-        trace += a.real * a.real
-        c, d = p * a - r * b.conjugate(), p * b + r * a.conjugate()  # P_k g_k
-        # y_k, the vector part of (c + d j)(conj(p) - r j) = P_k g_k P_k^-1: its i part, then its j + k part
-        x = (c * p.conjugate() + d * r.conjugate()).imag
-        v = d * p - c * r
-        y, z = v.real, v.imag
+    for g in points:
+        trace += g[0].real * g[0].real
+        moved = hamilton(prefix, g)  # P_k g_k
+        a, v = hamilton(moved, (prefix[0].conjugate(), -prefix[1]))  # P_k g_k P_k^-1, whose vector part is y_k
+        x, y, z = a.imag, v.real, v.imag
         xx += x * x
         yy += y * y
         zz += z * z
         xy += x * y
         xz += x * z
         yz += y * z
-        p, r = c * a - d * b.conjugate(), c * b + d * a.conjugate()  # P_(k+1) = P_k g_k g_k
+        prefix = hamilton(moved, g)  # P_(k+1) = P_k g_k g_k
     eigenvalues = sorted(_symmetric_eigenvalues(xx, yy, zz, xy, xz, yz), reverse=True)
     return [2.0 * math.sqrt(max(trace + value, 0.0)) for value in eigenvalues]
 
 
 def _symmetric_eigenvalues(a00, a11, a22, a01, a02, a12) -> tuple:
-    """Eigenvalues of the symmetric 3 x 3 matrix A with these entries.
-
-    Where they lie well apart, the closed form of the characteristic cubic:
-    q + 2 p cos(phi + 2 pi k / 3), with q the mean of the diagonal, p the
-    spread of A - q I and cos(3 phi) = det((A - q I) / p) / 2.  As two of them
-    meet, |cos 3 phi| nears 1 and acos loses half the digits (4e-8 at a
-    double eigenvalue), so there, and at a diagonal matrix, Jacobi rotations
-    decide.
-    """
-    off = a01 * a01 + a02 * a02 + a12 * a12
-    if off:
-        q = (a00 + a11 + a22) / 3.0
-        p = math.sqrt(((a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * off) / 6.0)
-        b00, b11, b22, b01, b02, b12 = (a00 - q) / p, (a11 - q) / p, (a22 - q) / p, a01 / p, a02 / p, a12 / p
-        det = b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)
-        if abs(det / 2.0) <= 0.99:
-            phi = math.acos(det / 2.0) / 3.0
-            largest, least = q + 2.0 * p * math.cos(phi), q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-            return largest, 3.0 * q - largest - least, least
-    return _jacobi_eigenvalues(a00, a11, a22, a01, a02, a12)
-
-
-def _jacobi_eigenvalues(a00, a11, a22, a01, a02, a12) -> tuple:
     """Eigenvalues of the symmetric 3 x 3 matrix with these entries, by cyclic Jacobi rotations.
 
-    A diagonal matrix is returned as it is, so exact zeros stay exact.  The
-    sweeps stop once the off-diagonal part is below 1e-15 of the diagonal's
-    norm, where it moves no eigenvalue by more than that.  Each rotation
-    zeroes one off-diagonal entry and turns the other two, written out for
-    the (0, 1), (0, 2) and (1, 2) planes in turn.
+    Each rotation zeroes one off-diagonal entry and turns the other two, in
+    the (0, 1), (0, 2) and (1, 2) planes in turn.  The sweeps stop once the
+    off-diagonal part is below 1e-15 of the diagonal's norm, where it moves
+    no eigenvalue by more than that, even where eigenvalues meet.  A diagonal
+    matrix is returned as it is, so exact zeros stay exact.
     """
     for _ in range(50):
         if a01 * a01 + a02 * a02 + a12 * a12 <= 1e-30 * (a00 * a00 + a11 * a11 + a22 * a22):

@@ -502,6 +502,14 @@ def test_numeric_check_exits_zero(capsys):
     assert {row["check_name"] for row in payload["checks"]} >= {"sqrt_roundtrip", "x1r_chart"}
 
 
+def test_numeric_check_outputs_match_golden(capsys):
+    # Request line -> stdout, recorded before the oracle's Hamilton products,
+    # eigenvalue solve and uniform draws each came down to one path.
+    golden = json.loads((ROOT / "tests" / "golden" / "numeric_check_outputs.json").read_text())
+    for line, expected in golden.items():
+        assert run(capsys, *line.split()) == (0, expected), line
+
+
 # -- usage errors ------------------------------------------------------------------
 
 

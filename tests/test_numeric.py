@@ -114,10 +114,11 @@ def test_third_singular_value_vanishes_at_the_singular_example(n):
 
 @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-6, 1e-2, 0.12, 0.5, 1.0])
 def test_eigenvalues_stay_accurate_where_two_meet(gap):
-    # Q diag(1, 1 + gap, 3) Q^T: the closed form loses half its digits as the gap closes, the rotations do not
+    # Q diag(1, 1 + gap, 3) Q^T, and Q 2 I Q^T: a solve through the characteristic
+    # cubic's roots would lose half its digits as the gap closes, the rotations lose none
     for g in random_units(_bits(6), 50):
         q = quat.rotation_matrix(_array(g))
-        for spectrum in ([1.0, 1.0 + gap, 3.0], [3.0, 3.0 - gap, 1.0]):
+        for spectrum in ([1.0, 1.0 + gap, 3.0], [3.0, 3.0 - gap, 1.0], [2.0, 2.0, 2.0]):
             a = q @ np.diag(spectrum) @ q.T
             found = _symmetric_eigenvalues(a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2])
             assert np.max(np.abs(np.sort(found) - np.sort(spectrum))) <= 1e-14
@@ -168,6 +169,17 @@ def test_rank_drops_at_constant_imaginary_tuple():
 def test_rank_at_identity_singleton():
     # differential is xi -> 2 xi, full rank
     assert singular_values([ONE]) == [2.0, 2.0, 2.0]
+
+
+def test_rank_drops_at_conjugates_of_the_constant_imaginary_tuple():
+    # g (J, J, J) g^-1 is critical too; off the axes the Gram matrix resolves its
+    # zero singular values only to about sqrt(eps), the SVD of the numpy form to eps
+    conjugates = [conjugate_tuple([J] * 3, g) for g in random_units(_bits(8), 200)]
+    for points in conjugates:
+        values = singular_values(points)
+        assert sum(value > RANK_TOL for value in values) == 1
+        assert max(values[1:]) < 1e-7
+    assert np.max(box_singular_values(_array(conjugates))[:, 1:]) <= 1e-13
 
 
 def test_singular_value_gap():
