@@ -21,6 +21,7 @@ import cmath
 import math
 import random
 from collections import namedtuple
+from operator import mul
 
 #: Residual tolerance used by the pass/fail checks.
 RESIDUAL_TOL = 1e-10
@@ -173,54 +174,35 @@ def singular_values(points) -> list:
     4 sum_k (w_k^2 I + y_k y_k^T), where w_k is the real part of the k-th
     entry g_k and y_k the vector part of P_k g_k P_k^-1, P_k the product of
     the first k squares.  So the squared singular values are 4 (sum_k w_k^2 +
-    the eigenvalues of Y Y^T), Y the 3 x m matrix of columns y_k.
+    sigma^2), sigma the singular values of Y, the 3 x m matrix of columns y_k.
 
-    The Gram matrix squares the differential, so a zero singular value is
-    resolved only to about sqrt(eps) sigma_1: a few 1e-8 off the axes.
+    One-sided Jacobi rotations (Hestenes) turn the rows of Y until they are
+    orthogonal, and sigma^2 are then their squared norms.  Y Y^T is never
+    formed: it would square Y, and the rotated rows keep a zero sigma to eps.
     """
-    prefix, trace = ONE, 0.0
-    xx = yy = zz = xy = xz = yz = 0.0
+    prefix, trace, columns = ONE, 0.0, []
     for g in points:
         trace += g[0].real * g[0].real
         moved = hamilton(prefix, g)  # P_k g_k
         a, v = hamilton(moved, (prefix[0].conjugate(), -prefix[1]))  # P_k g_k P_k^-1, whose vector part is y_k
-        x, y, z = a.imag, v.real, v.imag
-        xx += x * x
-        yy += y * y
-        zz += z * z
-        xy += x * y
-        xz += x * z
-        yz += y * z
+        columns.append((a.imag, v.real, v.imag))
         prefix = hamilton(moved, g)  # P_(k+1) = P_k g_k g_k
-    eigenvalues = sorted(_symmetric_eigenvalues(xx, yy, zz, xy, xz, yz), reverse=True)
-    return [2.0 * math.sqrt(max(trace + value, 0.0)) for value in eigenvalues]
-
-
-def _symmetric_eigenvalues(a00, a11, a22, a01, a02, a12) -> tuple:
-    """Eigenvalues of the symmetric 3 x 3 matrix with these entries, by cyclic Jacobi rotations.
-
-    Each rotation zeroes one off-diagonal entry and turns the other two, in
-    the (0, 1), (0, 2) and (1, 2) planes in turn.  The sweeps stop once the
-    off-diagonal part is below 1e-15 of the diagonal's norm, where it moves
-    no eigenvalue by more than that, even where eigenvalues meet.  A diagonal
-    matrix is returned as it is, so exact zeros stay exact.
-    """
+    rows = list(zip(*columns))
     for _ in range(50):
-        if a01 * a01 + a02 * a02 + a12 * a12 <= 1e-30 * (a00 * a00 + a11 * a11 + a22 * a22):
+        turned = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            # a pair counts as orthogonal once r_p . r_q is below 1e-15 |r_p| |r_q|; exact zeros stay exact
+            rp, rq = rows[p], rows[q]
+            gamma = sum(map(mul, rp, rq))
+            alpha, beta = sum(map(mul, rp, rp)), sum(map(mul, rq, rq))
+            if gamma * gamma > 1e-30 * alpha * beta:
+                c, s, _ = _rotation(alpha, beta, gamma)
+                rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                turned = True
+        if not turned:
             break
-        if a01:
-            c, s, t = _rotation(a00, a11, a01)
-            a00, a11, a01 = a00 - t * a01, a11 + t * a01, 0.0
-            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
-        if a02:
-            c, s, t = _rotation(a00, a22, a02)
-            a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
-            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
-        if a12:
-            c, s, t = _rotation(a11, a22, a12)
-            a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
-            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
-    return a00, a11, a22
+    return sorted((2.0 * math.sqrt(trace + sum(map(mul, row, row))) for row in rows), reverse=True)
 
 
 def _rotation(app, aqq, apq) -> tuple:

@@ -10,7 +10,10 @@ is the circle w + x*i, so the i-axis is the torus axis.
 
 from __future__ import annotations
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:  # numpy is the optional extra of this module alone
+    raise ImportError("su2rep.quaternions needs numpy: pip install 'su2rep[numpy]'") from exc
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 MINUS_IDENTITY = np.array([-1.0, 0.0, 0.0, 0.0])

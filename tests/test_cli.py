@@ -378,12 +378,13 @@ def test_verify_output_survives_optimized_mode(tmp_path):
 
 
 _EVERY_COMMAND = [
-    "betti --n 1 --target plus",
-    "bigraded --n 1 --target minus",
-    "equivariant --n 1 --target generic",
-    "orbit --n 1 --target plus",
-    "localization-image --n 2 --target plus",
-    "cup-table --n 1 --target minus",
+    "betti --n 2 --target plus",
+    "bigraded --n 2 --target minus",
+    "equivariant --n 2 --target generic",
+    "localization-image --n 3 --target minus",
+    "localization-image --n 5 --target minus --degree-bound 3",
+    "cup-table --n 2 --target plus",
+    "orbit --n 2 --target plus",
     "verify --n-max 2",
     "numeric-check --seed 0",
 ]
@@ -404,17 +405,30 @@ def test_no_command_imports_numpy(tmp_path):
         assert result.stderr.strip() == "False", line
 
 
-def test_numeric_check_passes_where_numpy_cannot_load(tmp_path):
-    code = (
-        "import sys\n"
-        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
-        "import su2rep.cli\n"
-        "sys.exit(su2rep.cli.main(['numeric-check', '--seed', '0']))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path)}
+# Runs one request in a fresh process where numpy cannot load.
+_NUMPY_BLOCKED = (
+    "import sys\n"
+    "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+    "import su2rep.cli\n"
+    "sys.exit(su2rep.cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("line", _EVERY_COMMAND)
+def test_every_command_gives_the_same_bytes_where_numpy_cannot_load(capsys, tmp_path, line, fmt):
+    argv = [*line.split(), "--format", fmt]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SU2REP_CACHE_DIR": str(tmp_path / "blocked")}
+    blocked = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, *argv], capture_output=True, env=env, text=True)
+    assert (blocked.returncode, blocked.stdout) == run(capsys, *argv), blocked.stderr
+
+
+def test_quaternions_names_the_extra_where_numpy_cannot_load():
+    code = "import sys\nsys.modules['numpy'] = None\nimport su2rep.quaternions\n"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
-    assert result.returncode == 0, result.stderr
-    assert '"passed":true' in result.stdout
+    assert result.returncode == 1
+    assert "ImportError" in result.stderr and "su2rep[numpy]" in result.stderr
 
 
 # The modules a request loads beyond those of a bare interpreter; run in a fresh process.
@@ -1009,19 +1023,6 @@ def test_csv_of_a_streamed_series_parses_no_json(capsys, monkeypatch):
     monkeypatch.setattr(cli.json, "loads", parse)
     for line, csv_out in expected.items():
         assert run(capsys, *line.split(), "--format", "csv", "--no-cache") == (0, csv_out), line
-
-
-_EVERY_COMMAND = [
-    "betti --n 2 --target plus",
-    "bigraded --n 2 --target minus",
-    "equivariant --n 2 --target generic",
-    "localization-image --n 3 --target minus",
-    "localization-image --n 5 --target minus --degree-bound 3",
-    "cup-table --n 2 --target plus",
-    "orbit --n 2 --target plus",
-    "verify --n-max 2",
-    "numeric-check --seed 0",
-]
 
 
 @pytest.mark.parametrize("line", _EVERY_COMMAND)
