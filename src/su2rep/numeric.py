@@ -196,7 +196,7 @@ def singular_values(points) -> list:
             gamma = sum(map(mul, rp, rq))
             alpha, beta = sum(map(mul, rp, rp)), sum(map(mul, rq, rq))
             if gamma * gamma > 1e-30 * alpha * beta:
-                c, s, _ = _rotation(alpha, beta, gamma)
+                c, s = _rotation(alpha, beta, gamma)
                 rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
                 rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
                 turned = True
@@ -206,11 +206,11 @@ def singular_values(points) -> list:
 
 
 def _rotation(app, aqq, apq) -> tuple:
-    """Cosine, sine and tangent of the Jacobi rotation in the (p, q) plane that zeroes apq."""
+    """Cosine and sine of the Jacobi rotation in the (p, q) plane that zeroes apq."""
     theta = (aqq - app) / (2.0 * apq)
     t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
     c = 1.0 / math.hypot(t, 1.0)
-    return c, t * c, t
+    return c, t * c
 
 
 # -- the sphere-times-circle chart -------------------------------------------------

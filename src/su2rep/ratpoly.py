@@ -14,10 +14,12 @@ constructor rescales a given numerator and denominator to that form and
 rejects a denominator that does not divide 1 - t^4 over Z, such as 2 - 2t^2.
 The factors 1 - t, 1 + t and 1 + t^2 of 1 - t^4 are monic, so every division
 the package makes is exact over Z.  Equality, hashing, sums, differences,
-products and Taylor coefficients work on N alone; no polynomial gcd is taken
-on those paths.  The coprime canonical form (denominator primitive with a
-positive leading coefficient) is made only for output, by ``RatFn.reduced``,
-which ``str`` and the CLI, the renderer of every value, read.
+products and Taylor coefficients work on N alone.  The coprime canonical form
+(denominator primitive with a positive leading coefficient) is made only for
+output, by ``RatFn.reduced``, which divides N and t^4 - 1 by each of those
+factors that divides N, so no gcd is taken (``poly_gcd`` is the tests'
+reference).  Powers of any base follow Miller's recurrence, in time that follows
+the size of the output.
 
 All values are immutable after construction and every operation is a pure
 function, so the types here are safe for unrestricted concurrent use.
@@ -169,17 +171,24 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        """Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): for self = t^v b with b0 != 0, q = b^n has q0 = b0^n
+        and k b0 q_k = sum over i >= 1 of ((n + 1) i - k) b_i q_(k-i), each q_k an integer, so each division is exact."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = RatPoly.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        if not self._coeffs:
+            return RatPoly.one() if exponent == 0 else RatPoly.zero()
+        n, shift = exponent, next(v for v, c in enumerate(self._coeffs) if c)
+        b0, *tail = self._coeffs[shift:]
+        terms = [(i, (n + 1) * i, c) for i, c in enumerate(tail, 1) if c]
+        q = [b0 ** n]
+        for k in range(1, len(tail) * n + 1):
+            acc = 0
+            for i, weight, c in terms:
+                if i > k:
+                    break
+                acc += (weight - k) * c * q[k - i]
+            q.append(acc // (k * b0))
+        return RatPoly._dense([0] * (shift * n) + q)
 
     def __call__(self, value):
         """Evaluate at a point by Horner's rule; exact at an integer point."""
@@ -284,6 +293,7 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 # Every denominator in the package divides this one (see the module docstring).
 _ONE_MINUS_T4 = RatPoly({0: 1, 4: -1})
+_FACTORS_OF_T4_MINUS_1 = (RatPoly({0: -1, 1: 1}), RatPoly({0: 1, 1: 1}), RatPoly({0: 1, 2: 1}))
 
 
 class RatFn:
@@ -365,10 +375,13 @@ class RatFn:
 
     def reduced(self) -> tuple[RatPoly, RatPoly]:
         """The coprime (numerator, denominator), the denominator primitive with a positive leading coefficient."""
-        # The primitive gcd g divides t^4 - 1 = (t - 1)(t + 1)(t^2 + 1), so it is
-        # monic and both divisions are exact over Z.
-        g = poly_gcd(self._num, _ONE_MINUS_T4)
-        return -poly_divmod(self._num, g)[0], poly_divmod(-_ONE_MINUS_T4, g)[0]
+        # t^4 - 1 is square-free: its gcd with N is the product of its monic factors that divide N.
+        num, den = -self._num, -_ONE_MINUS_T4
+        for factor in _FACTORS_OF_T4_MINUS_1:
+            quotient, remainder = poly_divmod(num, factor)
+            if not remainder:
+                num, den = quotient, poly_divmod(den, factor)[0]
+        return num, den
 
     def __str__(self):
         num, den = self.reduced()

@@ -29,32 +29,18 @@ from .ratpoly import NotPolynomialError, RatFn, RatPoly, poly_reciprocal
 from .targets import MEMO_SIZE, ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
+# The bases of every closed form, built once: building one per call costs more than its power.
 _ONE_PLUS_T = RatPoly({0: 1, 1: 1})
-
-
-def _binomial_power(n: int, sign: int = 1, step: int = 1, shift: int = 0) -> RatPoly:
-    """t^shift (1 + sign t^step)^n, from one binomial row: C(n, k + 1) = C(n, k) (n - k) / (k + 1).
-
-    That is O(n) big-int steps.  The closed forms take (1 + t^3)^n,
-    t^n (1 + t)^n = (t + t^2)^n and (1 +- t)^n from here, and the bigrading
-    its row of C(n, k).
-    ``recursion_verify`` and the assembled pair and orbit routes use generic
-    powers, so the checks stay independent of it.
-    """
-    coeffs = [0] * (shift + step * n + 1)
-    c = 1
-    for k in range(n + 1):
-        coeffs[shift + step * k] = c
-        c = sign * c * (n - k) // (k + 1)
-    return RatPoly._dense(coeffs)
+_ONE_MINUS_T = RatPoly({0: 1, 1: -1})
+_ONE_PLUS_T3 = RatPoly({0: 1, 3: 1})
+_T_PLUS_T2 = RatPoly({1: 1, 2: 1})
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def poincare_sectors(target: SurfaceTarget) -> tuple[RatPoly, RatPoly]:
     """Poincare polynomials of the plus and minus sectors of the involution."""
     n = target.n
-    plus = _binomial_power(n, step=3)
-    minus = _binomial_power(n, shift=n)
+    plus, minus = _ONE_PLUS_T3 ** n, _T_PLUS_T2 ** n
     if target.is_central and target.variant is Variant.SINGULAR:
         minus = RatPoly.t(2) * minus
     if target.kind is TargetKind.GENERIC:
@@ -81,7 +67,7 @@ def bigraded_poincare(target: SurfaceTarget) -> dict[tuple[int, int], int]:
     n = target.n
     shift = 2 if target.variant is Variant.SINGULAR else 0
     counts: Counter = Counter()
-    for k, binomial in enumerate(_binomial_power(n).dense_coefficients()):  # C(n, k), one row
+    for k, binomial in enumerate((_ONE_PLUS_T ** n).dense_coefficients()):  # C(n, k), one row
         counts[k, 2 * k] += binomial
         counts[k, 2 * (n - k) + shift] += binomial
     return dict(counts)
@@ -128,17 +114,15 @@ def recursion_verify(n_max: int) -> RecursionReport:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
 
-    def ambient(m: int) -> RatPoly:
-        return (RatPoly.one() + RatPoly.t(3)) ** m
-
     singular_prev = RatPoly.one() + RatPoly.t(2)
     failures = []
     for k in range(1, n_max + 1):
         regular_k = singular_prev + poly_reciprocal(singular_prev, 3 * k)
         regular_ok = regular_k == poincare(SurfaceTarget.regular(k))
 
-        relative = ambient(k + 1) + RatPoly.t(1) * regular_k - _ONE_PLUS_T * ambient(k)
-        pair_ok = relative == RatPoly.t(3) * ambient(k) + RatPoly.t(1) * (RatPoly.t(1) + RatPoly.t(2)) ** k
+        ambient, ambient_next = _ONE_PLUS_T3 ** k, _ONE_PLUS_T3 ** (k + 1)
+        relative = ambient_next + RatPoly.t(1) * regular_k - _ONE_PLUS_T * ambient
+        pair_ok = relative == RatPoly.t(3) * ambient + RatPoly.t(1) * _T_PLUS_T2 ** k
 
         singular_k = poly_reciprocal(relative, 3 * k + 3)
         singular_ok = singular_k == poincare(SurfaceTarget.singular(k))
@@ -179,7 +163,7 @@ def _fixed_orbit_parts(target: SurfaceTarget) -> tuple[RatPoly, RatPoly]:
     """
     plus = _ONE_PLUS_T ** target.n
     if target.kind is TargetKind.CENTRAL_PLUS:
-        return plus, (1 - RatPoly.t()) ** target.n
+        return plus, _ONE_MINUS_T ** target.n
     if target.kind is TargetKind.CENTRAL_MINUS:
         return plus, RatPoly.zero()
     return 2 * plus, RatPoly.zero()
@@ -208,10 +192,11 @@ def pair_poincare_direct(target: SurfaceTarget) -> RatFn:
     """The five-case closed display of the pair series, transcribed term by term."""
     n = target.n
     t = RatFn(RatPoly.t(1))
-    a = RatFn(_binomial_power(n), RatPoly.one() - RatPoly.t(2))
-    b = RatFn(_binomial_power(n, sign=-1), RatPoly.one() + RatPoly.t(2))
-    regular_p = _binomial_power(n, step=3) + _binomial_power(n, shift=n)
-    singular_p = _binomial_power(n, step=3) + _binomial_power(n, shift=n + 2)
+    plus, minus = _ONE_PLUS_T3 ** n, _T_PLUS_T2 ** n
+    a = RatFn(_ONE_PLUS_T ** n, RatPoly.one() - RatPoly.t(2))
+    b = RatFn(_ONE_MINUS_T ** n, RatPoly.one() + RatPoly.t(2))
+    regular_p = plus + minus
+    singular_p = plus + RatPoly.t(2) * minus
     one_minus_t4 = RatPoly.one() - RatPoly.t(4)
     if target.kind is TargetKind.CENTRAL_PLUS:
         inner = a + b - RatFn(singular_p if n % 2 else regular_p, one_minus_t4)
@@ -249,13 +234,13 @@ def orbit_poincare_direct(target: SurfaceTarget) -> RatFn:
     tail_full = _ONE_PLUS_T * (RatPoly.one() + RatPoly.t(n))
     pair = pair_poincare_direct(target)
     if target.kind is TargetKind.CENTRAL_PLUS:
-        fixed = _binomial_power(n) + _binomial_power(n, sign=-1)
+        fixed = _ONE_PLUS_T ** n + _ONE_MINUS_T ** n
         tail = tail_small if n % 2 else tail_full
     elif target.kind is TargetKind.CENTRAL_MINUS:
-        fixed = _binomial_power(n)
+        fixed = _ONE_PLUS_T ** n
         tail = tail_full if n % 2 else tail_small
     else:
-        fixed = 2 * _binomial_power(n)
+        fixed = 2 * _ONE_PLUS_T ** n
         tail = tail_full
     return pair - t * RatFn(fixed) + RatFn(tail)
 

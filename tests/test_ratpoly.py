@@ -133,6 +133,32 @@ def test_pow_matches_repeated_multiplication(p, exponent):
     assert p**exponent == expected
 
 
+@given(st.sampled_from([1, -1, 2, -3, 0]), polys(max_degree=5), st.integers(min_value=0, max_value=9))
+def test_pow_of_any_constant_term_matches_repeated_multiplication(b0, p, exponent):
+    # The power recurrence divides by the lowest nonzero coefficient, after shifting out t^v when b0 = 0.
+    base = b0 + t() * p
+    expected = RatPoly.one()
+    for _ in range(exponent):
+        expected = expected * base
+    assert base**exponent == expected
+
+
+def test_pow_of_zero_matches_repeated_multiplication():
+    for exponent in range(10):
+        expected = RatPoly.one()
+        for _ in range(exponent):
+            expected = expected * RatPoly.zero()
+        assert RatPoly.zero() ** exponent == expected
+
+
+def test_pow_takes_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a power called RatPoly.__mul__")
+
+    monkeypatch.setattr(RatPoly, "__mul__", refuse)
+    assert ((one + t()) ** 3000).dense_coefficients() == [math.comb(3000, k) for k in range(3001)]
+
+
 @given(polys(), st.integers(min_value=0, max_value=12))
 def test_reciprocal_is_involutive(p, extra):
     d = int(max(p.degree(), 0)) + extra
@@ -224,7 +250,7 @@ def test_json_form_is_coprime_and_primitive(p, q):
     form = cli_json(cli._series(f))
     num, den = from_json(form["numerator"]), from_json(form["denominator"])
     assert (num, den) == f.reduced()
-    assert poly_gcd(num, den) == one
+    assert poly_gcd(num, den) == one  # Euclid, which reduced itself does not run
     assert math.gcd(*(c for _, c in den.items())) == 1
     assert den.leading_coefficient() > 0
     assert RatFn(num, den) == f

@@ -1,6 +1,5 @@
 import pytest
 
-from su2rep import surfaces
 from su2rep.ratpoly import RatFn, RatPoly, poly_reciprocal
 from su2rep.surfaces import (
     bigraded_poincare,
@@ -132,16 +131,6 @@ def test_sector_memo_is_bounded_and_a_repeated_target_hits():
     assert info.currsize == info.maxsize == MEMO_SIZE
     poincare_sectors(SurfaceTarget.regular(199))
     assert poincare_sectors.cache_info()[:2] == (info.hits + 1, info.misses)
-
-
-def test_binomial_rows_match_generic_powers():
-    # The closed forms build these from one binomial row; the checks use generic powers.
-    for n in (0, 1, 2, 3, 7, 40, 97):
-        assert surfaces._binomial_power(n, step=3) == (one + t(3)) ** n
-        assert surfaces._binomial_power(n, shift=n) == (t(1) + t(2)) ** n
-        assert surfaces._binomial_power(n, shift=n + 2) == t(2) * (t(1) + t(2)) ** n
-        assert surfaces._binomial_power(n) == (one + t(1)) ** n
-        assert surfaces._binomial_power(n, sign=-1) == (one - t(1)) ** n
 
 
 # -- bigrading ------------------------------------------------------------------------
