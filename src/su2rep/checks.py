@@ -209,7 +209,7 @@ def check_equivariant_ties(n_max: int) -> list[str]:
                 failures.append(f"t-series n={n} {target.variant.value}")
         generic = surfaces.equivariant_poincare(SurfaceTarget.generic(n)).t_series
         regular = surfaces.equivariant_poincare(SurfaceTarget.regular(n)).t_series
-        if generic != RatFn(RatPoly.one() + RatPoly.t(2)) * regular:
+        if generic != (RatPoly.one() + RatPoly.t(2)) * regular:
             failures.append(f"generic-tie n={n}")
     return failures
 

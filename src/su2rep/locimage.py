@@ -167,9 +167,9 @@ def factorization_check(n: int) -> FactorizationReport:
             runs = zip(iter_image_runs(direct, bound), _mask_runs(n, bound, min_c1))
             differing = next(((mask, a, b) for (mask, a), (_, b) in runs if a != b), None)
             direct_series = image_hilbert_series(direct)
-            # (1 - t^2) goes into the right factor first so that every partial
-            # product keeps a denominator dividing 1 - t^4.
-            tensor_series = image_hilbert_series(left) * ((RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(right))
+            # (1 - t^2) makes the right factor a polynomial, or NotPolynomialError says it does not.
+            right_poly = ((RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(right)).to_polynomial()
+            tensor_series = image_hilbert_series(left) * right_poly
             if differing is not None:
                 mask, a, b = differing
                 detail = f"first differing basis element {(mask, min(set(a) ^ set(b)))}"

@@ -13,8 +13,11 @@ and localization-image versions, so every denominator divides 1 - t^4.  A
 constructor rescales a given numerator and denominator to that form and
 rejects a denominator that does not divide 1 - t^4 over Z, such as 2 - 2t^2.
 The factors 1 - t, 1 + t and 1 + t^2 of 1 - t^4 are monic, so every division
-the package makes is exact over Z.  Equality, hashing, sums, differences,
-products and Taylor coefficients work on N alone.  The coprime canonical form
+the package makes is exact over Z.  The series form a module over Z[t]: a
+series is added to or subtracted from a series, and multiplied only by a
+``RatPoly`` or an ``int``, so a product of two series is a ``TypeError`` and
+no product is divided back by 1 - t^4.  Equality, hashing, sums, differences,
+multiples and Taylor coefficients work on N alone.  The coprime canonical form
 (denominator primitive with a positive leading coefficient) is made only for
 output, by ``RatFn.reduced``, which divides N and t^4 - 1 by each of those
 factors that divides N, so no gcd is taken (``poly_gcd`` is the tests'
@@ -333,8 +336,6 @@ class RatFn:
             return NotImplemented
         return RatFn._from_numerator(self._num + other._num)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFn._from_numerator(-self._num)
 
@@ -344,20 +345,12 @@ class RatFn:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = self._coerce(other)
+        """Scale by a polynomial or an int; a product of two series is not defined (TypeError)."""
+        other = RatPoly._coerce(other)
         if other is None:
             return NotImplemented
-        num, remainder = poly_divmod(self._num * other._num, _ONE_MINUS_T4)
-        if remainder:
-            raise ValueError("product has a denominator that does not divide 1 - t^4")
-        return RatFn._from_numerator(num)
+        return RatFn._from_numerator(self._num * other)
 
     __rmul__ = __mul__
 

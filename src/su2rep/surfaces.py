@@ -185,13 +185,12 @@ def pair_poincare(target: SurfaceTarget) -> RatFn:
     Equals t * (series of orbits through the fixed locus - full equivariant
     series); its cup product is trivial.
     """
-    return RatFn(RatPoly.t(1)) * (gxt_equivariant_series(target) - equivariant_poincare(target).g_series)
+    return RatPoly.t(1) * (gxt_equivariant_series(target) - equivariant_poincare(target).g_series)
 
 
 def pair_poincare_direct(target: SurfaceTarget) -> RatFn:
     """The five-case closed display of the pair series, transcribed term by term."""
     n = target.n
-    t = RatFn(RatPoly.t(1))
     plus, minus = _ONE_PLUS_T3 ** n, _T_PLUS_T2 ** n
     a = RatFn(_ONE_PLUS_T ** n, RatPoly.one() - RatPoly.t(2))
     b = RatFn(_ONE_MINUS_T ** n, RatPoly.one() + RatPoly.t(2))
@@ -204,7 +203,7 @@ def pair_poincare_direct(target: SurfaceTarget) -> RatFn:
         inner = a - RatFn(regular_p if n % 2 else singular_p, one_minus_t4)
     else:
         inner = 2 * a - RatFn(regular_p, RatPoly.one() - RatPoly.t(2))
-    return t * inner
+    return RatPoly.t(1) * inner
 
 
 def fixed_orbit_space_poincare(target: SurfaceTarget) -> RatPoly:
@@ -229,7 +228,6 @@ def kernel_poincare(target: SurfaceTarget) -> RatPoly:
 def orbit_poincare_direct(target: SurfaceTarget) -> RatFn:
     """Closed five-case expression for the orbit-space Poincare polynomial."""
     n = target.n
-    t = RatFn(RatPoly.t(1))
     tail_small = _ONE_PLUS_T
     tail_full = _ONE_PLUS_T * (RatPoly.one() + RatPoly.t(n))
     pair = pair_poincare_direct(target)
@@ -242,7 +240,7 @@ def orbit_poincare_direct(target: SurfaceTarget) -> RatFn:
     else:
         fixed = 2 * _ONE_PLUS_T ** n
         tail = tail_full
-    return pair - t * RatFn(fixed) + RatFn(tail)
+    return pair + RatFn(tail - RatPoly.t(1) * fixed)
 
 
 def orbit_poincare_assembled(target: SurfaceTarget) -> RatFn:

@@ -4,7 +4,9 @@ A polynomial identity of degree d that fails holds at a random point mod p
 with probability at most d/p (Schwartz 1980, Zippel 1979); here d is about
 9000 and p = 2^61 - 1.  Coefficients are read as text and reduced mod p from
 144-digit pieces, linear in their digits.  The closed forms are written out
-from the paper's displays, not imported from ``surfaces``.
+from the paper's displays, not imported from ``surfaces``.  A printed series
+num/den is checked against a closed form num'/den' as num(r) den'(r) =
+den(r) num'(r), so no inverse is taken.
 """
 
 import contextlib
@@ -162,3 +164,139 @@ def test_the_bigraded_oracle_catches_one_unit_in_one_count():
     assert len(count) > 800  # a count of several pieces
     planted = [*entries[:middle], (k, b, str(int(count) + 1), den), *entries[middle + 1 :]]
     assert _bigraded_mismatches("plus", planted, specialized) == ["bigraded"]
+
+
+# -- orbit and equivariant: printed series against the displays of the pair and orbit spaces --------------------------
+
+SERIES_LISTS = {
+    "orbit": ("poincare", "pair_series"),
+    "equivariant": ("t_series", "g_series", "fixed_orbit_g_series", "pair_series"),
+}
+# JSON on every target and CSV on generic; orbit on plus in JSON comes last, for the planted test to reuse.
+SERIES_CASES = [("equivariant", "generic", "csv"), ("orbit", "generic", "csv")] + [
+    (command, target, "json") for command in ("equivariant", "orbit") for target in ("generic", "minus", "plus")
+]
+
+
+def _series_closed_forms(target: str, r: int) -> dict:
+    """Each printed list at r mod P, as (numerator, denominator).
+
+    At even n, with A = (1+r)^n, B = (1-r)^n, R = (1+r^3)^n + (r+r^2)^n and
+    S = (1+r^3)^n + r^2 (r+r^2)^n, the orbits through the fixed locus give
+    A/(1-r^2) + B/(1+r^2) on plus, A/(1-r^2) on minus and 2A/(1-r^2) on
+    generic.  The pair series is r(A/(1-r^2) + B/(1+r^2) - R/(1-r^4)),
+    r(A/(1-r^2) - S/(1-r^4)) and r(2A/(1-r^2) - R/(1-r^2)); the orbit
+    polynomial is pair - r(A+B) + (1+r)(1+r^n), pair - rA + (1+r) and
+    pair - 2rA + (1+r)(1+r^n).  The Poincare polynomial R, S or (1+r^2)R
+    over 1-r^4 and over 1-r^2 gives the g- and t-series.
+    """
+    r2 = r * r % P
+    a, b = pow(1 + r, N, P), pow(1 - r, N, P)
+    cube, mixed = pow(1 + r**3, N, P), pow(r + r2, N, P)
+    big_r, big_s = cube + mixed, cube + r2 * mixed
+    d2, d4 = 1 - r2, 1 - r2 * r2
+    full_tail = (1 + r) * (1 + pow(r, N, P))
+    # Plus and minus go over 1 - r^4: A/(1 - r^2) = A(1 + r^2)/(1 - r^4) and B/(1 + r^2) = B(1 - r^2)/(1 - r^4).
+    if target == "plus":
+        den, fixed_orbit, poincare = d4, a * (1 + r2) + b * d2, big_r
+        pair = r * (fixed_orbit - big_r)
+        orbit = pair + (full_tail - r * (a + b)) * d4
+    elif target == "minus":
+        den, fixed_orbit, poincare = d4, a * (1 + r2), big_s
+        pair = r * (fixed_orbit - big_s)
+        orbit = pair + (1 + r - r * a) * d4
+    else:
+        den, fixed_orbit, poincare = d2, 2 * a, (1 + r2) * big_r
+        pair = r * (2 * a - big_r)
+        orbit = pair + (full_tail - 2 * r * a) * d2
+    forms = {
+        "poincare": (orbit, den),
+        "pair_series": (pair, den),
+        "fixed_orbit_g_series": (fixed_orbit, den),
+        "g_series": (poincare, d4),
+        "t_series": (poincare, d2),
+    }
+    return {name: (num % P, den % P) for name, (num, den) in forms.items()}
+
+
+def _unflatten(rows: list) -> dict:
+    """The payload of CSV rows ``a/0/1,value``, nested again: a level keyed 0, 1, ... becomes a list."""
+    root: dict = {}
+    for row in rows:
+        path, value = row.split(",", 1)
+        *parents, leaf = path.split("/")
+        node = root
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+
+    def nested(node):
+        if not isinstance(node, dict):
+            return node
+        if all(key.isdigit() for key in node):
+            assert sorted(map(int, node)) == list(range(len(node)))
+            return [nested(node[str(i)]) for i in range(len(node))]
+        return {key: nested(value) for key, value in node.items()}
+
+    return nested(root)
+
+
+@functools.lru_cache(maxsize=1)  # the planted test reuses the last case's output
+def _printed(command: str, target: str, fmt: str) -> dict:
+    """The lists of ``command --n N`` that the oracle checks, every number as text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "--n", str(N), "--target", target, "--format", fmt, "--no-cache"]) == 0
+    if fmt == "json":
+        payload = json.loads(out.getvalue(), parse_int=str)
+    else:
+        payload = _unflatten(out.getvalue().splitlines()[1:])
+    return {name: payload[name] for name in SERIES_LISTS[command]}
+
+
+def _signed_residue(text: str) -> int:
+    return -_residue(text[1:]) % P if text.startswith("-") else _residue(text)
+
+
+def _coefficients(triples: list) -> list:
+    """The residues of a printed polynomial's (exponent, numerator, denominator) triples, lowest degree first."""
+    assert all(den == "1" for *_, den in triples)  # every printed coefficient is an integer
+    out = [0] * (int(triples[-1][0]) + 1 if triples else 0)
+    for e, c, _ in triples:
+        out[int(e)] = _signed_residue(c)
+    return out
+
+
+def _fraction(printed) -> tuple:
+    """(numerator, denominator) as residue lists: a coefficient list is its own numerator over 1."""
+    if isinstance(printed, list):
+        return [_signed_residue(c) for c in printed], [1]
+    return _coefficients(printed["numerator"]), _coefficients(printed["denominator"])
+
+
+def _series_mismatches(target: str, printed: dict) -> list:
+    """The names of the printed lists whose num/den differs from the closed form's num'/den' at some point."""
+    fractions = {name: _fraction(value) for name, value in printed.items()}
+    expected = [_series_closed_forms(target, r) for r in POINTS]
+    return [
+        name
+        for name, (num, den) in fractions.items()
+        if any(
+            _evaluate(num, r) * at[name][1] % P != _evaluate(den, r) * at[name][0] % P
+            for r, at in zip(POINTS, expected)
+        )
+    ]
+
+
+@pytest.mark.parametrize("command, target, fmt", SERIES_CASES)
+def test_orbit_and_equivariant_series_are_their_closed_forms(command, target, fmt):
+    assert _series_mismatches(target, _printed(command, target, fmt)) == []
+
+
+def test_the_series_oracle_catches_one_unit_in_one_orbit_coefficient():
+    printed = _printed("orbit", "plus", "json")
+    middle = len(printed["poincare"]) // 2
+    assert len(printed["poincare"][middle]) > 800  # a coefficient of several pieces
+    planted = {**printed, "poincare": list(printed["poincare"])}
+    planted["poincare"][middle] = str(int(planted["poincare"][middle]) + 1)
+    assert _series_mismatches("plus", planted) == ["poincare"]

@@ -205,13 +205,13 @@ def test_denominator_must_divide_one_minus_t4():
         RatFn(one, 0)
 
 
-def test_product_leaving_the_domain_raises():
+def test_product_of_two_series_is_a_type_error():
     f = RatFn(one, one - t(2))
-    with pytest.raises(ValueError):
-        _ = f * f  # 1 / (1 - t^2)^2
-    with pytest.raises(ValueError):
-        _ = f * f * (one - t(2))
-    assert f * ((one - t(2)) * f) == f
+    with pytest.raises(TypeError):
+        _ = f * f  # a series is scaled only by a polynomial or an int
+    with pytest.raises(TypeError):
+        _ = RatFn(one) * RatFn(one)
+    assert f * ((one - t(2)) * f).to_polynomial() == f
 
 
 def test_denominator_is_primitive_with_positive_lead():
@@ -288,9 +288,18 @@ def test_gcd_divides_both(a, b, c):
     assert g.leading_coefficient() > 0
 
 
+@given(polys(), period_divisors(), polys(), st.integers(min_value=0, max_value=12))
+def test_scaling_is_the_cauchy_product_of_the_series(p, q, r, m):
+    f = RatFn(p, q)
+    series, scale = f.series(m), r.dense_coefficients()
+    cauchy = [sum(c * series[k - j] for j, c in enumerate(scale[: k + 1])) for k in range(m + 1)]
+    assert (f * r).series(m) == cauchy
+    assert r * f == f * r
+
+
 @given(polys(), period_divisors(), st.integers(min_value=0, max_value=12))
 def test_coefficients_stay_ints(p, q, n_max):
-    f = RatFn(p, q) * RatFn(q)
+    f = RatFn(p, q) * q
     assert all(type(c) is int for c in f.series(n_max))
     assert all(type(c) is int for c in (p * q + p).dense_coefficients())
     assert type(p(-1)) is int
