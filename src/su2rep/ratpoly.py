@@ -9,20 +9,22 @@ Betti numbers by bidegree (see :func:`su2rep.surfaces.bigraded_poincare`).
 Every series the package needs is a polynomial over H*(BSU(2)) = Z[c]
 (c in degree 4), or over Z[c1] (c1 in degree 2) for the torus, fixed-locus
 and localization-image versions, so every denominator divides 1 - t^4.  A
-``RatFn`` holds one polynomial, the numerator N of N / (1 - t^4).  The
-constructor rescales a given numerator and denominator to that form and
-rejects a denominator that does not divide 1 - t^4 over Z, such as 2 - 2t^2.
-The factors 1 - t, 1 + t and 1 + t^2 of 1 - t^4 are monic, so every division
-the package makes is exact over Z.  The series form a module over Z[t]: a
-series is added to or subtracted from a series, and multiplied only by a
-``RatPoly`` or an ``int``, so a product of two series is a ``TypeError`` and
-no product is divided back by 1 - t^4.  Equality, hashing, sums, differences,
-multiples and Taylor coefficients work on N alone.  The coprime canonical form
-(denominator primitive with a positive leading coefficient) is made only for
-output, by ``RatFn.reduced``, which divides N and t^4 - 1 by each of those
-factors that divides N, so no gcd is taken (``poly_gcd`` is the tests'
-reference).  Powers of any base follow Miller's recurrence, in time that follows
-the size of the output.
+``RatFn`` holds one polynomial, the numerator N of N / (1 - t^4).  Over Z the
+divisors of 1 - t^4 = -(t - 1)(t + 1)(t^2 + 1) are +-1 times a product of some
+of those monic factors, so the constructor looks a denominator's cofactor up
+in a table of all 16 and rejects any other denominator, such as 2 - 2t^2.
+The series form a module over Z[t]: a series is added to or subtracted from a
+series, and multiplied only by a ``RatPoly`` or an ``int``, so a product of
+two series is a ``TypeError``.  Equality, hashing, sums, differences, multiples
+and Taylor coefficients work on N alone.  The one division is the recurrence
+c_k = N_k + c_(k-4) of the Taylor coefficients: ``to_polynomial`` reads the
+quotient from it.  The coprime canonical form (denominator primitive with a
+positive leading coefficient) is made only for output, by ``RatFn.reduced``.
+Sums of N's coefficients by degree mod 4 give N(1), N(-1) and whether N(i) = 0;
+the denominator is the product of the factors that do not vanish where N does.
+No gcd is taken and no request runs Euclid (``poly_gcd`` and ``poly_divmod``
+are the tests' reference).  Powers of any base follow Miller's recurrence, in
+time that follows the size of the output.
 
 All values are immutable after construction and every operation is a pure
 function, so the types here are safe for unrestricted concurrent use.
@@ -38,8 +40,8 @@ class NotPolynomialError(ValueError):
     """A rational function failed to simplify to a polynomial.
 
     Carries the witness of the failed division: ``quotient`` and a nonzero
-    ``remainder`` with N = quotient * (1 - t^4) + remainder, where N is the
-    numerator over 1 - t^4.
+    ``remainder`` in degrees deg N - 3..deg N with N = quotient * (1 - t^4) +
+    remainder, where N is the numerator over 1 - t^4.
     """
 
     def __init__(self, quotient: "RatPoly", remainder: "RatPoly"):
@@ -294,9 +296,19 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a
 
 
-# Every denominator in the package divides this one (see the module docstring).
-_ONE_MINUS_T4 = RatPoly({0: 1, 4: -1})
+# Every denominator in the package divides 1 - t^4 = -(t - 1)(t + 1)(t^2 + 1) (see the module docstring).
 _FACTORS_OF_T4_MINUS_1 = (RatPoly({0: -1, 1: 1}), RatPoly({0: 1, 1: 1}), RatPoly({0: 1, 2: 1}))
+
+
+def _cofactors() -> dict:
+    """Each of the 16 divisors of 1 - t^4 over Z, +-1 times a product of some of its factors, to its cofactor."""
+    pairs = [(RatPoly.one(), -RatPoly.one())]  # divisor * cofactor = -(product of the factors so far)
+    for f in _FACTORS_OF_T4_MINUS_1:
+        pairs = [pair for divisor, cofactor in pairs for pair in ((divisor * f, cofactor), (divisor, cofactor * f))]
+    return {sign * divisor: sign * cofactor for divisor, cofactor in pairs for sign in (1, -1)}
+
+
+_COFACTORS = _cofactors()
 
 
 class RatFn:
@@ -308,8 +320,10 @@ class RatFn:
         num, den = RatPoly._coerce(numerator), RatPoly._coerce(denominator)
         if num is None or den is None:
             raise TypeError(f"cannot interpret {type(numerator).__name__} / {type(denominator).__name__}")
-        cofactor, remainder = poly_divmod(_ONE_MINUS_T4, den)
-        if remainder:
+        cofactor = _COFACTORS.get(den)
+        if cofactor is None:
+            if den.is_zero:
+                raise ZeroDivisionError("polynomial division by zero")
             raise ValueError(f"denominator {den} does not divide 1 - t^4")
         self._num = num * cofactor
 
@@ -368,13 +382,11 @@ class RatFn:
 
     def reduced(self) -> tuple[RatPoly, RatPoly]:
         """The coprime (numerator, denominator), the denominator primitive with a positive leading coefficient."""
-        # t^4 - 1 is square-free: its gcd with N is the product of its monic factors that divide N.
-        num, den = -self._num, -_ONE_MINUS_T4
-        for factor in _FACTORS_OF_T4_MINUS_1:
-            quotient, remainder = poly_divmod(num, factor)
-            if not remainder:
-                num, den = quotient, poly_divmod(den, factor)[0]
-        return num, den
+        # s_j sums N's coefficients of degree j mod 4: N(1), N(-1), and N(i) = 0 exactly when s0 = s2 and s1 = s3.
+        s0, s1, s2, s3 = (sum(self._num._coeffs[j::4]) for j in range(4))
+        vanishes = (s0 + s1 + s2 + s3 == 0, s0 - s1 + s2 - s3 == 0, s0 == s2 and s1 == s3)
+        den = math.prod((f for f, zero in zip(_FACTORS_OF_T4_MINUS_1, vanishes) if not zero), start=RatPoly.one())
+        return (self * den).to_polynomial(), den
 
     def __str__(self):
         num, den = self.reduced()
@@ -388,10 +400,13 @@ class RatFn:
     # -- queries --------------------------------------------------------------
 
     def to_polynomial(self) -> RatPoly:
-        """The polynomial equal to this function, or NotPolynomialError."""
-        quotient, remainder = poly_divmod(self._num, _ONE_MINUS_T4)
-        if remainder:
-            raise NotPolynomialError(quotient, remainder)
+        """The polynomial equal to this function, or NotPolynomialError: with d = deg N, the Taylor coefficients
+        c_0..c_(d-4), provided that c_(d-3)..c_d all vanish."""
+        coeffs = self.series(max(len(self._num._coeffs) - 1, 0))
+        window = max(len(coeffs) - 4, 0)
+        quotient = RatPoly._dense(coeffs[:window])
+        if any(coeffs[window:]):
+            raise NotPolynomialError(quotient, RatPoly._dense([0] * window + coeffs[window:]))
         return quotient
 
     def series(self, n_max: int) -> list[int]:

@@ -222,6 +222,7 @@ def test_only_the_benchmark_harness_reaches_cup_table():
         "locimage.cup_table",
         "ratpoly.RatPoly.leading_coefficient",
         "ratpoly._primitive",
+        "ratpoly.poly_divmod",
         "ratpoly.poly_gcd",
     ]
     assert _unreached(ROOT, readers=("tests/test_acceptance.py",), count_exports=False) == expected
@@ -295,8 +296,15 @@ def test_traced_cup_table_counts_signs_without_numpy(tmp_path):
 
 
 def test_traced_verify_takes_no_gcd(tmp_path):
-    # Series stay numerators over 1 - t^4, and printing one divides out factors of t^4 - 1.
-    for argv in (["verify", "--n-max", "2"], ["equivariant", "--n", "3", "--target", "plus"]):
+    # Series stay numerators over 1 - t^4; the only division is the series recurrence by 1 - t^4, and printing one
+    # reads the factors of t^4 - 1 that divide it from sums of its coefficients.
+    requests = (
+        ["verify", "--n-max", "2"],
+        ["equivariant", "--n", "3", "--target", "plus"],
+        ["orbit", "--n", "3", "--target", "minus"],
+    )
+    for argv in requests:
         traced, plain, metrics = _run_traced(tmp_path, [*argv, "--no-cache"])
         assert traced == plain
         assert metrics.get("ratpoly.poly_gcd_calls", 0) == 0
+        assert metrics.get("ratpoly.poly_divmod_calls", 0) == 0

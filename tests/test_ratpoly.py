@@ -178,9 +178,53 @@ def test_simplify_after_multiplication():
 
 
 def test_simplify_rejects_infinite_series():
+    # (1 + t - t^4) / (1 - t^4) = 1 + t + t^5 + ...: of c_1..c_4, only c_1 is nonzero.
+    for f in (RatFn(one, one - t()), RatFn(one + t() - t(4), one - t(4))):
+        with pytest.raises(NotPolynomialError) as err:
+            f.to_polynomial()
+        assert not err.value.remainder.is_zero
+
+
+@st.composite
+def near_multiples_of_the_period(draw):
+    """q * (1 - t^4) + r with deg r < 4, so that Euclid's remainder is r and often zero or a single term."""
+    return draw(polys()) * (one - t(4)) + draw(polys(max_degree=3))
+
+
+@given(st.one_of(polys(max_degree=9), near_multiples_of_the_period()))
+def test_to_polynomial_agrees_with_euclid(p):
+    # Euclid is the independent reference for the four-coefficient window of the series recurrence.
+    quotient, remainder = poly_divmod(p, one - t(4))
+    f = RatFn(p, one - t(4))
+    if remainder.is_zero:
+        assert f.to_polynomial() == quotient
+        return
     with pytest.raises(NotPolynomialError) as err:
-        RatFn(one, one - t()).to_polynomial()
+        f.to_polynomial()
     assert not err.value.remainder.is_zero
+    assert err.value.quotient * (one - t(4)) + err.value.remainder == p
+
+
+small_dens = st.lists(st.integers(min_value=-2, max_value=2), max_size=5).map(lambda cs: RatPoly(dict(enumerate(cs))))
+
+
+@given(st.one_of(period_divisors(), small_dens))
+def test_accepted_denominators_are_euclids_divisors(den):
+    if den.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            RatFn(one, den)
+        return
+    try:
+        cofactor, remainder = poly_divmod(one - t(4), den)
+    except ValueError:  # an inexact step: den does not divide 1 - t^4 over Z
+        cofactor, remainder = None, one
+    if remainder.is_zero:
+        f = RatFn(one, den)
+        assert (f * (one - t(4))).to_polynomial() == cofactor
+        assert (f * den).to_polynomial() == one
+    else:
+        with pytest.raises(ValueError):
+            RatFn(one, den)
 
 
 def test_series_geometric():
