@@ -211,14 +211,6 @@ class OrdClass(namedtuple("OrdClass", "n variant sector mask")):
     def indices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
 
-    def to_json(self) -> dict:
-        return {
-            "sector": self.sector.value,
-            "subset": list(self.indices),
-            "c1_power": self.c1_power,
-            "coeff": "1",
-        }
-
 
 def ordinary_basis(n: int, variant: Variant) -> list[OrdClass]:
     """The 2**(n+1) canonical basis classes: all plus subsets, then all minus."""
@@ -321,7 +313,10 @@ def cup_table(n: int, variant: Variant) -> dict:
     return {
         "n": n,
         "target": variant.value,
-        "basis": [cls.to_json() for cls in ordinary_basis(n, variant)],
+        "basis": [
+            {"sector": cls.sector.value, "subset": list(cls.indices), "c1_power": cls.c1_power, "coeff": "1"}
+            for cls in ordinary_basis(n, variant)
+        ],
         "table": [[i, j, k, coeff] for i, products in iter_cup_entries(n, variant) for j, k, coeff in products],
     }
 

@@ -59,7 +59,7 @@ class RatPoly:
         """Build from a mapping {exponent: int coefficient}; zero coefficients are dropped."""
         coeffs = coeffs or {}
         for exp, value in coeffs.items():
-            if not isinstance(exp, int) or exp < 0:
+            if not isinstance(exp, int) or isinstance(exp, bool) or exp < 0:
                 raise ValueError(f"exponent must be a non-negative int, got {exp!r}")
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"coefficient must be an int, got {type(value).__name__}")
@@ -114,9 +114,6 @@ class RatPoly:
     def dense_coefficients(self) -> list[int]:
         """Coefficient list c0..c_deg; [0] for the zero polynomial."""
         return list(self._coeffs) or [0]
-
-    def leading_coefficient(self) -> int:
-        return self._coeffs[-1] if self._coeffs else 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -178,7 +175,7 @@ class RatPoly:
     def __pow__(self, exponent: int):
         """Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7): for self = t^v b with b0 != 0, q = b^n has q0 = b0^n
         and k b0 q_k = sum over i >= 1 of ((n + 1) i - k) b_i q_(k-i), each q_k an integer, so each division is exact."""
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
         if not self._coeffs:
             return RatPoly.one() if exponent == 0 else RatPoly.zero()
@@ -279,7 +276,7 @@ def poly_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
 
 
 def _primitive(p: RatPoly) -> RatPoly:
-    content = math.gcd(*p._coeffs) * (-1 if p.leading_coefficient() < 0 else 1)
+    content = math.gcd(*p._coeffs) * (-1 if p._coeffs and p._coeffs[-1] < 0 else 1)
     return RatPoly._dense([c // content for c in p._coeffs]) if content else p
 
 
@@ -291,7 +288,7 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """
     a, b = _primitive(a), _primitive(b)
     while b:
-        scale = b.leading_coefficient() ** max(len(a._coeffs) - len(b._coeffs) + 1, 0)
+        scale = b._coeffs[-1] ** max(len(a._coeffs) - len(b._coeffs) + 1, 0)
         a, b = b, _primitive(poly_divmod(scale * a, b)[1])
     return a
 

@@ -17,12 +17,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from su2rep import (
-    ConsistencyError, RatFn, RatPoly, Sector, SurfaceTarget, TargetKind, Variant, checks, cli, locimage, numeric,
-    surfaces,
-)
+from su2rep import checks, cli, locimage, numeric, surfaces
 from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
-from su2rep.exterior import ENUMERATION_CAP
+from su2rep.exterior import ENUMERATION_CAP, Sector
+from su2rep.ratpoly import RatFn, RatPoly
+from su2rep.targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,6 +209,18 @@ def test_formality_fails_when_the_total_betti_number_is_off(capsys, monkeypatch)
     monkeypatch.setattr(surfaces, "poincare", off_at_one)
     failed = _failed_checks(capsys, 2)
     assert failed["formality-dimension"] == "n=0 generic; n=1 generic; n=2 generic"
+
+
+def test_pair_sign_check_reads_the_periodic_tail(monkeypatch):
+    # At n = 12 the numerator of the pair series reaches degree 39, so a -1 at t^35 lies past degree 30.
+    planted = SurfaceTarget(TargetKind.CENTRAL_PLUS, 12)
+
+    def minus_t35(real):
+        return lambda target: real(target) - RatPoly.t(35) * int(target == planted)
+
+    for attr in ("pair_poincare", "pair_poincare_direct"):
+        monkeypatch.setattr(surfaces, attr, minus_t35(getattr(surfaces, attr)))
+    assert checks.check_pair_series(12) == ("pair-poincare-series", False, "negative n=12 plus")
 
 
 def test_kunneth_fails_on_a_tensor_table_off_at_one_mask(capsys, monkeypatch):
@@ -960,7 +971,7 @@ def test_localization_rows_match_json_dumps(variant, sector):
 def test_ordinary_basis_rows_match_json_dumps(variant):
     for n in range(7):
         specs = [locimage.ImageSpec(n, variant, sector) for sector in (Sector.PLUS, Sector.MINUS)]
-        expected = [cls.to_json() for cls in locimage.ordinary_basis(n, variant)]
+        expected = locimage.cup_table(n, variant)["basis"]
         for batch in (2, cli._BATCH):
             with mock.patch.object(cli, "_BATCH", batch):
                 texts = list(cli._ordinary_basis(specs, n).texts)

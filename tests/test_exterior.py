@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from su2rep import ConsistencyError
 from su2rep.exterior import Sector, fixed_point_poincare, koszul_sign, weyl_invariant_series
 from su2rep.ratpoly import RatFn, RatPoly
-from su2rep.targets import TargetKind
+from su2rep.targets import ConsistencyError, TargetKind
 
 t = RatPoly.t
 one = RatPoly.one()

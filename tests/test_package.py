@@ -8,29 +8,15 @@ from pathlib import Path
 
 import pytest
 
-import su2rep
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_exported_name_resolves():
-    for name in su2rep.__all__:
-        assert getattr(su2rep, name) is not None, name
-
-
 def test_namespace_is_lazy():
-    # In a fresh process: nothing is loaded until a name is used, and dir and * see every name.
-    code = (
-        "import sys, su2rep\n"
-        "print(sorted(m for m in sys.modules if m.startswith('su2rep.')))\n"
-        "print(set(su2rep.__all__) <= set(dir(su2rep)))\n"
-        "namespace = {}\n"
-        "exec('from su2rep import *', namespace)\n"
-        "print(all(namespace[name] is getattr(su2rep, name) for name in su2rep.__all__))\n"
-    )
+    # In a fresh process: the package names no submodule, so importing it loads none.
+    code = "import sys, su2rep\nprint(sorted(m for m in sys.modules if m.startswith('su2rep.')))\n"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True)
-    assert result.stdout.split("\n") == ["[]", "True", "True", ""]
+    assert result.stdout == "[]\n"
 
 
 def test_the_exact_layer_loads_no_output_format():
@@ -172,14 +158,13 @@ def _uses(nodes) -> set:
     return found
 
 
-def _unreached(root: Path, readers=_REACH_READERS, count_exports=True) -> list:
+def _unreached(root: Path, readers=_REACH_READERS) -> list:
     """Qualified names of the functions, classes and methods of root's su2rep/*.py that no use reaches.
 
     Module-level code, decorators, base classes (less a class's own name, which a
     namedtuple base repeats) and the whole of each of the readers use names from the
     start, and a dunder is reached, since Python calls it. A definition whose name is
-    used is reached, and then the names its own body uses count too. Without
-    count_exports, the strings of ``__init__._EXPORTS`` are not uses.
+    used is reached, and then the names its own body uses count too.
     """
     used = {_used_name(node) for path in readers for node in ast.walk(ast.parse((root / path).read_text()))}
     pending = []  # (qualified name, name, names its body uses)
@@ -197,9 +182,6 @@ def _unreached(root: Path, readers=_REACH_READERS, count_exports=True) -> list:
 
     for path in sorted((root / "src" / "su2rep").glob("*.py")):
         tree = ast.parse(path.read_text())
-        if not count_exports and path.name == "__init__.py":
-            exports = [node for node in tree.body if isinstance(node, ast.Assign) and node.targets[0].id == "_EXPORTS"]
-            tree.body = [node for node in tree.body if node not in exports]
         used.update(_uses([tree]))
         collect(f"{path.stem}.", tree)
     while reached := [entry for entry in pending if entry[1] in used or entry[1][:2] == entry[1][-2:] == "__"]:
@@ -215,17 +197,10 @@ def test_every_definition_is_reached():
 
 
 def test_only_the_benchmark_harness_reaches_cup_table():
-    # The names that bench/traced.py alone keeps: with the acceptance suite as the only reader, and the public
-    # names of __init__ not counted as uses, a new definition that only the harness reaches would be listed here.
-    expected = [
-        "locimage.OrdClass.to_json",
-        "locimage.cup_table",
-        "ratpoly.RatPoly.leading_coefficient",
-        "ratpoly._primitive",
-        "ratpoly.poly_divmod",
-        "ratpoly.poly_gcd",
-    ]
-    assert _unreached(ROOT, readers=("tests/test_acceptance.py",), count_exports=False) == expected
+    # The names that bench/traced.py alone keeps: with the acceptance suite as the only reader, a new definition
+    # that only the harness reaches would be listed here.
+    expected = ["locimage.cup_table", "ratpoly._primitive", "ratpoly.poly_divmod", "ratpoly.poly_gcd"]
+    assert _unreached(ROOT, readers=("tests/test_acceptance.py",)) == expected
 
 
 @pytest.mark.parametrize(
@@ -254,12 +229,6 @@ def test_reach_reports_a_planted_orphan(tmp_path, planted, test_file, expected):
     assert _unreached(tmp_path) == expected
     (tmp_path / "bench" / "traced.py").write_text(f"{(tmp_path / 'bench' / 'traced.py').read_text()}\n{expected[0]}\n")
     assert _unreached(tmp_path) == []  # a reader's use reaches it
-
-
-def test_unknown_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        getattr(su2rep, "no_such_name")
-    assert not hasattr(su2rep, "no_such_name")
 
 
 def _run_traced(tmp_path, argv):

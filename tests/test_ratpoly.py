@@ -91,7 +91,7 @@ def test_degree_contract():
     assert (t(2) * t(3)).degree() == 5
 
 
-@pytest.mark.parametrize("exp", [-1, 1.0, (1, 0), (1.7, 0)])
+@pytest.mark.parametrize("exp", [-1, 1.0, (1, 0), (1.7, 0), True, False])
 @pytest.mark.parametrize("coeff", [1, 0])
 def test_exponent_must_be_a_non_negative_int(exp, coeff):
     with pytest.raises(ValueError):
@@ -149,6 +149,12 @@ def test_pow_of_zero_matches_repeated_multiplication():
         for _ in range(exponent):
             expected = expected * RatPoly.zero()
         assert RatPoly.zero() ** exponent == expected
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.0, True, False])
+def test_pow_exponent_must_be_a_non_negative_int(exponent):
+    with pytest.raises(ValueError):
+        t() ** exponent
 
 
 def test_pow_takes_no_product(monkeypatch):
@@ -296,7 +302,7 @@ def test_json_form_is_coprime_and_primitive(p, q):
     assert (num, den) == f.reduced()
     assert poly_gcd(num, den) == one  # Euclid, which reduced itself does not run
     assert math.gcd(*(c for _, c in den.items())) == 1
-    assert den.leading_coefficient() > 0
+    assert den.dense_coefficients()[-1] > 0
     assert RatFn(num, den) == f
 
 
@@ -329,7 +335,7 @@ def test_gcd_divides_both(a, b, c):
     assert poly_divmod(b * c, g)[1].is_zero
     assert poly_divmod(g, poly_gcd(c, RatPoly.zero()))[1].is_zero
     assert math.gcd(*(coeff for _, coeff in g.items())) == 1
-    assert g.leading_coefficient() > 0
+    assert g.dense_coefficients()[-1] > 0
 
 
 @given(polys(), period_divisors(), polys(), st.integers(min_value=0, max_value=12))
