@@ -119,9 +119,10 @@ class RatPoly:
 
     @staticmethod
     def _coerce(other):
+        """other as a RatPoly, or None; a bool is no scalar, so an operation with one is unsupported."""
         if isinstance(other, RatPoly):
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return RatPoly.constant(other)
         return None
 
@@ -155,7 +156,7 @@ class RatPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return RatPoly._dense([c * other for c in self._coeffs])
         if not isinstance(other, RatPoly):
             return NotImplemented
@@ -335,9 +336,8 @@ class RatFn:
     def _coerce(cls, other):
         if isinstance(other, RatFn):
             return other
-        if isinstance(other, (RatPoly, int)):
-            return cls(other)
-        return None
+        num = RatPoly._coerce(other)
+        return None if num is None else cls(num)
 
     # -- arithmetic ---------------------------------------------------------
 

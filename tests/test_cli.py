@@ -233,8 +233,24 @@ def test_kunneth_fails_on_a_tensor_table_off_at_one_mask(capsys, monkeypatch):
     monkeypatch.setattr(locimage, "tensor_min_c1", off_at_mask_1)
     failed = _failed_checks(capsys, 2)
     assert failed == {
-        "kunneth-factorization": "n=1: regular/plus: first differing basis element (1, 1); "
-        "n=2: regular/plus: first differing basis element (1, 1)"
+        "kunneth-factorization": "n=1: regular/plus: first differing mask 1; n=2: regular/plus: first differing mask 1"
+    }
+
+
+def test_kunneth_fails_on_a_tensor_table_off_beyond_the_degree_bound(capsys, monkeypatch):
+    # From n = 7 on, the full plus subset has degree 3n > 2n + 6, so no basis element within the bound sees it.
+    real = locimage.tensor_min_c1
+
+    def off_at_full_plus_mask(left, right):
+        min_c1, n = real(left, right), left.n + right.n
+        full = (1 << n) - 1
+        return lambda mask: min_c1(mask) + (left.sector is Sector.PLUS and n >= 8 and mask == full)
+
+    monkeypatch.setattr(locimage, "tensor_min_c1", off_at_full_plus_mask)
+    failed = _failed_checks(capsys, 10)
+    assert failed == {
+        "kunneth-factorization": "n=8: regular/plus: first differing mask 255; "
+        "n=9: regular/plus: first differing mask 511; n=10: regular/plus: first differing mask 1023"
     }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from su2rep.exterior import Sector, fixed_point_poincare, koszul_sign, weyl_invariant_series
 from su2rep.ratpoly import RatFn, RatPoly
-from su2rep.targets import ConsistencyError, TargetKind
+from su2rep.targets import TargetKind
 
 t = RatPoly.t
 one = RatPoly.one()
@@ -101,8 +101,21 @@ def test_enumeration_cap_guards_large_n():
         weyl_invariant_series(17, TargetKind.CENTRAL_MINUS)
 
 
-def test_weyl_miscount_raises_consistency_error(monkeypatch):
-    # The brute monomial count no longer matches the expanded series.
-    monkeypatch.setattr(RatFn, "series", lambda self, n_max=40: [0] * (n_max + 1))
-    with pytest.raises(ConsistencyError):
-        weyl_invariant_series(2, TargetKind.CENTRAL_MINUS)
+def test_weyl_series_is_the_count_of_invariant_monomials():
+    # The invariant copies of a_S * c1**l on the fixed locus: two when |S| + l is even and none when it is odd
+    # for the central +1 class, one for the central -1 class and two for the generic class.
+    copies = {
+        TargetKind.CENTRAL_PLUS: lambda size, power: 2 if (size + power) % 2 == 0 else 0,
+        TargetKind.CENTRAL_MINUS: lambda size, power: 1,
+        TargetKind.GENERIC: lambda size, power: 2,
+    }
+    top = 40
+    for n in range(13):
+        for kind, invariant in copies.items():
+            counts = [0] * (top + 1)
+            for subset in itertools.chain.from_iterable(itertools.combinations(range(n), k) for k in range(n + 1)):
+                for power in range(top + 1):
+                    degree = len(subset) + 2 * power
+                    if degree <= top:
+                        counts[degree] += invariant(len(subset), power)
+            assert weyl_invariant_series(n, kind).series(top) == counts, (n, kind)

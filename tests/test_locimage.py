@@ -183,11 +183,7 @@ def test_factorization_hand_case_n1():
     )
     expected = [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2)]
     assert image_basis(spec, 6) == expected
-    assert _expanded(locimage._mask_runs(1, 6, combined)) == expected
-
-
-def _expanded(runs):
-    return [(mask, l) for mask, powers in runs for l in powers]
+    assert [combined(mask) for mask in (0, 1)] == [1, 0]  # the least c1-power of each run above
 
 
 def _admissible_pairs(n, min_c1_of_mask, bound):
@@ -205,9 +201,6 @@ def _admissible_pairs(n, min_c1_of_mask, bound):
 def test_runs_expand_to_the_admissible_pairs(variant, sector):
     for n in range(7):
         spec = ImageSpec(n, variant, sector)
-        left = ImageSpec(max(n - 1, 0), Variant.REGULAR, sector)
-        right = ImageSpec(1 if variant is Variant.REGULAR else 0, variant, sector)
-        combined = tensor_min_c1(left, right)
         for bound in range(2 * n + 7):
             runs = list(iter_image_runs(spec, bound))
             assert [mask for mask, _ in runs] == list(range(1 << n))
@@ -217,8 +210,6 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
             expected = _admissible_pairs(n, lambda mask: spec.min_c1_power(mask.bit_count()), bound)
             assert [(mask, l) for mask, powers in runs for l in powers] == expected
             assert image_basis(spec, bound) == expected
-            combined_runs = locimage._mask_runs(left.n + right.n, bound, combined)
-            assert _expanded(combined_runs) == _admissible_pairs(left.n + right.n, combined, bound)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +225,11 @@ def test_factorization_check_passes(n):
     report = factorization_check(n)
     assert report.passed
     assert report.first_discrepancy is None
-    assert report.degree_bound == 2 * n + 6
+
+
+def test_factorization_check_refuses_n_over_the_cap():
+    with pytest.raises(ValueError, match="enumeration cap"):
+        factorization_check(ENUMERATION_CAP + 1)
 
 
 # -- ordinary basis and cup products ---------------------------------------------

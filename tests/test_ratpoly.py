@@ -104,6 +104,27 @@ def test_coefficient_must_be_an_int(coeff):
         RatPoly({0: coeff})
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p * True,
+        lambda p: True * p,
+        lambda p: p + True,
+        lambda p: RatFn(p) * True,
+    ],
+    ids=["poly-times-bool", "bool-times-poly", "poly-plus-bool", "series-times-bool"],
+)
+def test_a_bool_is_not_a_scalar(operation):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation(t(2))
+
+
+def test_a_polynomial_or_series_is_unequal_to_a_bool():
+    assert (t(2) == True) is False  # noqa: E712
+    assert (RatFn(t(2)) == True) is False  # noqa: E712
+    assert (one == True) is False  # noqa: E712
+
+
 # -- poly_reciprocal -----------------------------------------------------------
 
 
