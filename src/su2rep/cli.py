@@ -118,7 +118,7 @@ def _cmd_localization_image(ns) -> dict:
     for sector in (Sector.PLUS, Sector.MINUS):
         spec = locimage.ImageSpec(ns.n, target.variant, sector)
         sectors[sector.value] = {
-            "min_c1_power": [spec.min_c1_power(k) for k in range(ns.n + 1)],
+            "min_c1_power": list(spec.min_c1_powers),
             "hilbert_series": _series(locimage.image_hilbert_series(spec)),
             "basis": _image_basis(locimage.iter_image_runs(spec, bound), spec.n),
         }
@@ -224,7 +224,7 @@ def _ordinary_basis(specs, n: int) -> LazyList:
 
     A class is a run of one c1-power, the least for its sector and k = |mask|.
     """
-    sectors = [(spec.sector.value, [range(l, l + 1) for l in map(spec.min_c1_power, range(n + 1))]) for spec in specs]
+    sectors = [(spec.sector.value, [range(l, l + 1) for l in spec.min_c1_powers]) for spec in specs]
     rows = (
         {"c1_power": least[mask.bit_count()].start, "coeff": "1", "sector": sector, "subset": _subset(mask, n)}
         for sector, least in sectors

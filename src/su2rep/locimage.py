@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .exterior import Sector, check_enumeration_cap, koszul_sign
 from .ratpoly import RatFn, RatPoly
-from .targets import ConsistencyError, Variant
+from .targets import CheckReport, ConsistencyError, Variant
 
 
 class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
@@ -44,11 +44,10 @@ class ImageSpec(namedtuple("ImageSpec", "n variant sector")):
         if self.n < 0:
             raise ValueError("n must be non-negative")
 
-    def min_c1_power(self, k: int) -> int:
-        """Smallest admissible c1-power above exterior degree k."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"exterior degree {k} out of range 0..{self.n}")
-        return _min_c1_powers(self.n, self.variant, self.sector)[k]
+    @property
+    def min_c1_powers(self) -> range:
+        """The least admissible c1-power above each exterior degree k = 0..n."""
+        return _min_c1_powers(self.n, self.variant, self.sector)
 
 
 def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> range:
@@ -70,7 +69,7 @@ def iter_image_runs(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[in
     check_enumeration_cap(spec.n)
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
-    min_c1 = _min_c1_powers(*spec)
+    min_c1 = spec.min_c1_powers
     return (
         (mask, range(min_c1[mask.bit_count()], (max_total_degree - mask.bit_count()) // 2 + 1))
         for mask in range(1 << spec.n)
@@ -89,7 +88,7 @@ def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]
 def image_hilbert_series(spec: ImageSpec) -> RatFn:
     """Hilbert series sum(C(n,k) t^(k+2l)) over admissible (k, l), exactly."""
     degrees: Counter = Counter()
-    for k, l in enumerate(_min_c1_powers(*spec)):
+    for k, l in enumerate(spec.min_c1_powers):
         degrees[k + 2 * l] += math.comb(spec.n, k)
     return RatFn(RatPoly(degrees), RatPoly.one() - RatPoly.t(2))
 
@@ -107,23 +106,9 @@ def tensor_min_c1(left: ImageSpec, right: ImageSpec):
     """
     if left.sector is not right.sector:
         raise ValueError("only like sectors combine; mixed sectors die in the quotient")
-    left_c1, right_c1 = _min_c1_powers(*left), _min_c1_powers(*right)
+    left_c1, right_c1 = left.min_c1_powers, right.min_c1_powers
     low = (1 << left.n) - 1
     return lambda mask: left_c1[(mask & low).bit_count()] + right_c1[(mask >> left.n).bit_count()]
-
-
-class FactorizationReport(namedtuple("FactorizationReport", "n failures")):
-    """failures: "variant/sector: detail" for each image that does not factor."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def first_discrepancy(self) -> str | None:
-        return self.failures[0] if self.failures else None
 
 
 def default_degree_bound(n: int) -> int:
@@ -131,7 +116,7 @@ def default_degree_bound(n: int) -> int:
     return 2 * n + 6
 
 
-def factorization_check(n: int) -> FactorizationReport:
+def factorization_check(n: int) -> CheckReport:
     """Compare direct localization images against their product factorizations.
 
     The regular image on n+1 tuple slots must match (regular on n slots)
@@ -139,7 +124,8 @@ def factorization_check(n: int) -> FactorizationReport:
     n+1 slots) tensor (the n = 0 singular image).  Both are checked subset by
     subset, the least c1-power of each of the 2**n masks against the tensor
     table's, a failure naming the first differing mask, and symbolically,
-    the Hilbert series against the left series times the right factor.
+    the Hilbert series against the left series times the right factor; an
+    image that does not factor fails as "variant/sector: detail".
     """
     if n < 1:
         raise ValueError("factorization requires n >= 1")
@@ -152,7 +138,7 @@ def factorization_check(n: int) -> FactorizationReport:
                 left, right = ImageSpec(n - 1, Variant.REGULAR, sector), ImageSpec(1, Variant.REGULAR, sector)
             else:
                 left, right = ImageSpec(n, Variant.REGULAR, sector), ImageSpec(0, Variant.SINGULAR, sector)
-            direct_c1, tensor_c1 = _min_c1_powers(*direct), tensor_min_c1(left, right)  # both on n generators
+            direct_c1, tensor_c1 = direct.min_c1_powers, tensor_min_c1(left, right)  # both on n generators
             differing = next((mask for mask in range(1 << n) if direct_c1[mask.bit_count()] != tensor_c1(mask)), None)
             # (1 - t^2) makes the right factor a polynomial, or NotPolynomialError says it does not.
             right_poly = ((RatPoly.one() - RatPoly.t(2)) * image_hilbert_series(right)).to_polynomial()
@@ -163,7 +149,7 @@ def factorization_check(n: int) -> FactorizationReport:
             else:
                 continue
             failures.append(f"{variant.value}/{sector.value}: {detail}")
-    return FactorizationReport(n, tuple(failures))
+    return CheckReport(n, tuple(failures))
 
 
 class OrdClass(namedtuple("OrdClass", "n variant sector mask")):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .exterior import fixed_point_poincare
 from .ratpoly import NotPolynomialError, RatFn, RatPoly, poly_reciprocal
-from .targets import MEMO_SIZE, ConsistencyError, SurfaceTarget, TargetKind, Variant
+from .targets import MEMO_SIZE, CheckReport, ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 
 # The bases of every closed form, built once: building one per call costs more than its power.
@@ -85,17 +85,7 @@ def specialize_total_degree(bigraded: dict[tuple[int, int], int]) -> RatPoly:
     return RatPoly(counts)
 
 
-class RecursionReport(namedtuple("RecursionReport", "n_max failures")):
-    """failures: "k=..." for each step k = 1..n_max that disagrees with the closed forms."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def recursion_verify(n_max: int) -> RecursionReport:
+def recursion_verify(n_max: int) -> CheckReport:
     """Bootstrap the Poincare polynomials from exact sequences and compare.
 
     Seeds: the 0-cross-cap regular fiber is two points (P = 2) and the
@@ -109,7 +99,7 @@ def recursion_verify(n_max: int) -> RecursionReport:
       (Lefschetz duality across the complement of the regular fiber).
 
     Every step is compared against the closed forms, and the total dimension
-    2^(k+1) is compared against the fixed-locus dimension.
+    2^(k+1) against the fixed-locus dimension; a step that disagrees fails as "k=...".
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -133,7 +123,7 @@ def recursion_verify(n_max: int) -> RecursionReport:
         if not (regular_ok and pair_ok and singular_ok and dimension_ok):
             failures.append(f"k={k}")
         singular_prev = singular_k
-    return RecursionReport(n_max, tuple(failures))
+    return CheckReport(n_max, tuple(failures))
 
 
 # The RatFn series over the full group (g_series) and over the torus (t_series).

@@ -9,7 +9,8 @@ squares multiply into the class.
 For central classes the variety is the regular or the singular fiber of the
 product-of-squares map depending on parity: the regular fiber sits over
 ``(-1)^n`` and the singular fiber over ``(-1)^(n+1)``.  That parity dispatch
-is centralized here so it is written (and unit tested) exactly once.
+is centralized here so it is written (and unit tested) exactly once.  The
+two types every module shares live here too: ``ConsistencyError`` and ``CheckReport``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,20 @@ MEMO_SIZE = 64
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed: the library, never the input, is wrong."""
+
+
+class CheckReport(namedtuple("CheckReport", "n failures")):
+    """The outcome of a library cross-check run at n: failures, one string per discrepancy, empty when it passed."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def first_discrepancy(self) -> str | None:
+        return self.failures[0] if self.failures else None
 
 
 class TargetKind(Enum):

@@ -21,7 +21,7 @@ from su2rep import checks, cli, locimage, numeric, surfaces
 from su2rep.cli import SCHEMA_VERSION, LazyList, _entry_path, _flatten, build_parser, main
 from su2rep.exterior import ENUMERATION_CAP, Sector
 from su2rep.ratpoly import RatFn, RatPoly
-from su2rep.targets import ConsistencyError, SurfaceTarget, TargetKind, Variant
+from su2rep.targets import CheckReport, ConsistencyError, SurfaceTarget, TargetKind, Variant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -367,6 +367,19 @@ def test_recursion_names_the_broken_step(capsys, monkeypatch):
     monkeypatch.setattr(surfaces, "poincare", lambda target: real(target) + int(target == broken))
     assert surfaces.recursion_verify(5).failures == ("k=3",)
     assert _failed_checks(capsys, 5)["poincare-recursion"] == "k=3"
+
+
+def test_both_library_checks_report_a_planted_fault_in_one_type(monkeypatch):
+    reciprocal, tensor = surfaces.poly_reciprocal, locimage.tensor_min_c1
+    monkeypatch.setattr(surfaces, "poly_reciprocal", lambda poly, degree: reciprocal(poly, degree + 1))
+    monkeypatch.setattr(
+        locimage, "tensor_min_c1", lambda left, right: lambda mask: tensor(left, right)(mask) + (mask == 3)
+    )
+    recursion, factorization = surfaces.recursion_verify(4), locimage.factorization_check(3)
+    assert type(recursion) is type(factorization) is CheckReport
+    assert not recursion.passed and not factorization.passed
+    assert recursion.first_discrepancy == recursion.failures[0] == "k=1"
+    assert factorization.first_discrepancy == factorization.failures[0] == "regular/plus: first differing mask 3"
 
 
 @pytest.mark.parametrize("n_max", [3, 12, 20])

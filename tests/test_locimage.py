@@ -118,7 +118,7 @@ def test_combined_predicates_match_direct_ones():
             direct = ImageSpec(n, Variant.REGULAR, sector)
             for mask in range(1 << n):
                 k = bin(mask).count("1")
-                assert combined(mask) == direct.min_c1_power(k)
+                assert combined(mask) == direct.min_c1_powers[k]
 
 
 def test_combined_singular_predicate():
@@ -128,7 +128,7 @@ def test_combined_singular_predicate():
         )
         direct = ImageSpec(n, Variant.SINGULAR, Sector.MINUS)
         for mask in range(1 << n):
-            assert combined(mask) == direct.min_c1_power(bin(mask).count("1"))
+            assert combined(mask) == direct.min_c1_powers[bin(mask).count("1")]
 
 
 def test_mixed_sector_combination_is_rejected():
@@ -152,7 +152,7 @@ def test_equal_image_specs_share_lru_cache_entries():
     @functools.lru_cache(maxsize=None)
     def keyed(spec):
         calls.append(spec)
-        return spec.min_c1_power(spec.n)
+        return spec.min_c1_powers[spec.n]
 
     first = ImageSpec(3, Variant.SINGULAR, Sector.MINUS)
     second = ImageSpec(3, Variant.SINGULAR, Sector.MINUS)
@@ -174,6 +174,7 @@ def test_min_c1_powers_are_the_least_the_predicates_admit():
         for n in range(8):
             least = [min(l for l in range(n + 2) if admits(n, k, l)) for k in range(n + 1)]
             assert list(locimage._min_c1_powers(n, variant, sector)) == least, (n, variant, sector)
+            assert ImageSpec(n, variant, sector).min_c1_powers == locimage._min_c1_powers(n, variant, sector)
 
 
 def test_factorization_hand_case_n1():
@@ -207,7 +208,7 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
             by_k = {}
             for mask, powers in runs:  # a run depends on |mask| alone
                 assert by_k.setdefault(mask.bit_count(), powers) == powers
-            expected = _admissible_pairs(n, lambda mask: spec.min_c1_power(mask.bit_count()), bound)
+            expected = _admissible_pairs(n, lambda mask: spec.min_c1_powers[mask.bit_count()], bound)
             assert [(mask, l) for mask, powers in runs for l in powers] == expected
             assert image_basis(spec, bound) == expected
 
