@@ -9,7 +9,8 @@ means the library is internally inconsistent, never that the input was bad.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
+import math
+from collections import Counter, namedtuple
 
 from . import locimage, surfaces
 from .exterior import Sector, fixed_point_poincare, weyl_invariant_series
@@ -75,17 +76,12 @@ def check_localization_series(n_max: int) -> list[str]:
                 if series != RatFn(sector_poly, ts):
                     failures.append(f"series n={n} {variant.value}/{sector.value}")
                 bound = locimage.default_degree_bound(n)
-                # A run of c1-powers l = a..b-1 over a mask of size k adds one basis
-                # element in each degree k + 2a, k + 2a + 2, ..., k + 2b - 2: mark its
-                # ends, then sum along each parity.
-                counts = [0] * (bound + 3)
-                for mask, powers in locimage.iter_image_runs(spec, bound):
-                    if powers:
-                        counts[mask.bit_count() + 2 * powers.start] += 1
-                        counts[mask.bit_count() + 2 * powers.stop] -= 1
-                for degree in range(2, bound + 1):
-                    counts[degree] += counts[degree - 2]
-                if counts[: bound + 1] != series.series(bound):
+                # Run k of the table the writer prints adds C(n, k) basis elements in each degree k + 2l.
+                counts = Counter()
+                for k, powers in enumerate(locimage.image_runs(spec, bound)):
+                    for l in powers:
+                        counts[k + 2 * l] += math.comb(n, k)
+                if counts != Counter(dict(enumerate(series.series(bound)))):  # a row past the bound differs too
                     failures.append(f"basis-count n={n} {variant.value}/{sector.value}")
     return failures
 

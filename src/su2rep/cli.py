@@ -120,7 +120,7 @@ def _cmd_localization_image(ns) -> dict:
         sectors[sector.value] = {
             "min_c1_power": list(spec.min_c1_powers),
             "hilbert_series": _series(locimage.image_hilbert_series(spec)),
-            "basis": _image_basis(locimage.iter_image_runs(spec, bound), spec.n),
+            "basis": _image_basis(locimage.image_runs(spec, bound), spec.n),
         }
     return {"variety": target.variant.value, "degree_bound": bound, "sectors": sectors}
 
@@ -145,13 +145,14 @@ _ORDINARY_ROW = '{{"c1_power":{},"coeff":"1","sector":"#","subset":@}}'
 
 
 def _image_basis(runs, n: int) -> LazyList:
-    """The rows of runs of (mask, c1-powers): dicts whose subset list is made once per mask, and _IMAGE_ROW texts."""
+    """The rows of an image's runs by subset size: dicts whose subset list is made once per mask, and _IMAGE_ROW texts."""
     rows = (
         {"c1_power": l, "degree": k + 2 * l, "subset": subset}
-        for mask, powers in runs
-        if powers
-        for k, subset in [(mask.bit_count(), _subset(mask, n))]
-        for l in powers
+        for mask in range(1 << n)
+        for k in [mask.bit_count()]
+        if runs[k]
+        for subset in [_subset(mask, n)]
+        for l in runs[k]
     )
     return LazyList(rows, _basis_rows(runs, n, _IMAGE_ROW))
 
@@ -161,45 +162,41 @@ def _subset(mask: int, n: int) -> list[int]:
     return [i + 1 for i in range(n) if mask >> i & 1]
 
 
-def _subset_text(n: int):
-    """mask -> the JSON text of its subset of 1..n, read from two tables of the texts of its low and its high half."""
-    half = n // 2
-    low = ["".join(f",{i + 1}" for i in range(half) if m >> i & 1) for m in range(1 << half)]
-    high = ["".join(f",{half + i + 1}" for i in range(n - half) if m >> i & 1) for m in range(1 << (n - half))]
-    low_bits = (1 << half) - 1
-    return lambda mask: f"[{(low[mask & low_bits] + high[mask >> half])[1:]}]"
-
-
 def _basis_rows(runs, n: int, row: str):
-    """The JSON rows of runs of (mask, c1-powers), as texts of _BATCH to 2 _BATCH - 1 consecutive rows.
+    """The JSON rows of runs of c1-powers by subset size, as texts of _BATCH to 2 _BATCH - 1 consecutive rows.
 
-    Each row is the row template filled in.  The last text may hold fewer.
-    The rows of a run differ only in c1_power and degree, which follow from
-    k = |mask| and the c1-power.  So the rows of each part of a run, a slice
-    of _BATCH c1-powers or the whole of a shorter run, are one template,
-    split at the subset, and one str.join with the subset renders them.  The
-    last template made for each k is kept, since every mask with that k has
-    the same run in an image.
+    Each row is the row template filled in, mask by mask in ascending order,
+    run k over every mask of size k.  The last text may hold fewer.  The
+    rows of each part of a run, a slice of _BATCH c1-powers or the whole of
+    a shorter run, are one template, split at the subset, and one str.join
+    with the subset renders them.  A run of one slice keeps its template for
+    every mask of its size; a longer run makes its slices again at each mask,
+    so no more than one slice per size is held.  A mask is walked as its low
+    and high halves, whose subset texts are made once each.
     """
-    subset_text = _subset_text(n)
-    templates = {}  # k -> (a slice of c1-powers, its rows split at the subset)
-    texts, rows = [], 0
-    for mask, powers in runs:
-        if not powers:
-            continue
-        k = mask.bit_count()
-        subset = subset_text(mask)
+
+    def parts(k, powers):  # (rows, template) of each slice of run k
         for start in range(0, len(powers), _BATCH):
             part = powers[start : start + _BATCH]
-            template = templates.get(k)
-            if template is None or template[0] != part:
-                degrees = range(k + 2 * part.start, k + 2 * part.stop, 2)
-                template = templates[k] = part, ",".join(map(row.format, part, degrees)).split("@")
-            texts.append(subset.join(template[1]))
-            rows += len(part)
-            if rows >= _BATCH:
-                yield ",".join(texts)
-                texts, rows = [], 0
+            degrees = range(k + 2 * part.start, k + 2 * part.stop, 2)
+            yield len(part), ",".join(map(row.format, part, degrees)).split("@")
+
+    kept = [tuple(parts(k, powers)) if len(powers) <= _BATCH else None for k, powers in enumerate(runs)]
+    half = n // 2
+    lows = [(m.bit_count(), "".join(f",{i + 1}" for i in range(half) if m >> i & 1)) for m in range(1 << half)]
+    texts, rows = [], 0
+    for high in range(1 << (n - half)):
+        high_text = "".join(f",{half + i + 1}" for i in range(n - half) if high >> i & 1)
+        for low_k, low_text in lows:
+            k = low_k + high.bit_count()
+            if runs[k]:
+                subset = f"[{(low_text + high_text)[1:]}]"
+                for count, template in kept[k] or parts(k, runs[k]):
+                    texts.append(subset.join(template))
+                    rows += count
+                    if rows >= _BATCH:
+                        yield ",".join(texts)
+                        texts, rows = [], 0
     if texts:
         yield ",".join(texts)
 
@@ -230,10 +227,7 @@ def _ordinary_basis(specs, n: int) -> LazyList:
         for sector, least in sectors
         for mask in range(1 << n)
     )
-    texts = (
-        _basis_rows(((mask, least[mask.bit_count()]) for mask in range(1 << n)), n, _ORDINARY_ROW.replace("#", sector))
-        for sector, least in sectors
-    )
+    texts = (_basis_rows(least, n, _ORDINARY_ROW.replace("#", sector)) for sector, least in sectors)
     return LazyList(rows, chain.from_iterable(texts))
 
 

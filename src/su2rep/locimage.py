@@ -59,30 +59,26 @@ def _min_c1_powers(n: int, variant: Variant, sector: Sector) -> range:
     return range(n + 1, 0, -1)
 
 
-def iter_image_runs(spec: ImageSpec, max_total_degree: int) -> Iterator[tuple[int, range]]:
-    """Per subset mask, in ascending order, the range of its admissible c1-powers with total degree <= bound.
+def image_runs(spec: ImageSpec, max_total_degree: int) -> list[range]:
+    """Per exterior degree k = 0..n, the range of admissible c1-powers with total degree <= bound.
 
-    The range depends only on k = |mask|; it is empty when the bound admits
-    no c1-power.  The cap and bound checks raise when this is called, not at
-    the first ``next``.
+    Run k belongs to every subset mask of size k; it is empty when the bound
+    admits no c1-power.
     """
     check_enumeration_cap(spec.n)
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
-    min_c1 = spec.min_c1_powers
-    return (
-        (mask, range(min_c1[mask.bit_count()], (max_total_degree - mask.bit_count()) // 2 + 1))
-        for mask in range(1 << spec.n)
-    )
+    return [range(l, (max_total_degree - k) // 2 + 1) for k, l in enumerate(spec.min_c1_powers)]
 
 
 def image_basis(spec: ImageSpec, max_total_degree: int) -> list[tuple[int, int]]:
     """All admissible (subset mask, c1-power) pairs with total degree <= bound.
 
-    The runs of ``iter_image_runs``, expanded: ordered by mask
+    The runs of ``image_runs``, expanded: ordered by mask
     (colexicographic on subsets) and then by c1-power.
     """
-    return [(mask, l) for mask, powers in iter_image_runs(spec, max_total_degree) for l in powers]
+    runs = image_runs(spec, max_total_degree)
+    return [(mask, l) for mask in range(1 << spec.n) for l in runs[mask.bit_count()]]
 
 
 def image_hilbert_series(spec: ImageSpec) -> RatFn:

@@ -19,8 +19,8 @@ from su2rep.locimage import (
     factorization_check,
     image_basis,
     image_hilbert_series,
+    image_runs,
     iter_cup_entries,
-    iter_image_runs,
     matrix_rank_exact,
     minus_pairing_matrix,
     ordinary_basis,
@@ -203,22 +203,19 @@ def test_runs_expand_to_the_admissible_pairs(variant, sector):
     for n in range(7):
         spec = ImageSpec(n, variant, sector)
         for bound in range(2 * n + 7):
-            runs = list(iter_image_runs(spec, bound))
-            assert [mask for mask, _ in runs] == list(range(1 << n))
-            by_k = {}
-            for mask, powers in runs:  # a run depends on |mask| alone
-                assert by_k.setdefault(mask.bit_count(), powers) == powers
+            runs = image_runs(spec, bound)  # run k belongs to every mask of size k
+            assert len(runs) == n + 1
             expected = _admissible_pairs(n, lambda mask: spec.min_c1_powers[mask.bit_count()], bound)
-            assert [(mask, l) for mask, powers in runs for l in powers] == expected
+            assert [(mask, l) for mask in range(1 << n) for l in runs[mask.bit_count()]] == expected
             assert image_basis(spec, bound) == expected
 
 
 @pytest.mark.parametrize(
     "n, bound", [(ENUMERATION_CAP + 1, 10), (2, -1)], ids=["over-cap", "negative-bound"]
 )
-def test_iter_image_runs_checks_at_the_call(n, bound):
+def test_image_runs_checks_at_the_call(n, bound):
     with pytest.raises(ValueError):
-        iter_image_runs(ImageSpec(n, Variant.REGULAR, Sector.PLUS), bound)
+        image_runs(ImageSpec(n, Variant.REGULAR, Sector.PLUS), bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
